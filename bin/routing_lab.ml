@@ -1120,23 +1120,12 @@ let addr_arg =
                  the kernel; the resolved port is printed).")
 
 let serve_cmd =
-  let run addr workers queue cache corpus index backend max_conns no_mmap
-      telemetry =
+  let run addr workers queue cache corpus index max_conns telemetry =
     with_telemetry telemetry @@ fun () ->
-    let backend =
-      match backend with
-      | "epoll" -> Umrs_server.Server.Epoll
-      | "threads" -> Umrs_server.Server.Threads
-      | other ->
-        Printf.eprintf
-          "routing_lab: serve: unknown backend %S (epoll|threads)\n" other;
-        exit 1
-    in
     let cfg =
       { (Umrs_server.Server.default_config addr) with
         Umrs_server.Server.workers; queue_capacity = queue;
-        cache_capacity = cache; corpus; index; backend; max_conns;
-        mmap = not no_mmap }
+        cache_capacity = cache; corpus; index; max_conns }
     in
     match Umrs_server.Server.start cfg with
     | Error msg ->
@@ -1144,12 +1133,8 @@ let serve_cmd =
       exit 1
     | Ok srv ->
       Umrs_server.Server.install_signal_handlers srv;
-      pf "serving on %s (%s backend, %d worker%s, queue %d, cache %d, \
-          max-conns %d%s)@."
+      pf "serving on %s (%d worker%s, queue %d, cache %d, max-conns %d%s)@."
         (Umrs_server.Wire.addr_to_string (Umrs_server.Server.addr srv))
-        (match backend with
-        | Umrs_server.Server.Epoll -> "epoll"
-        | Umrs_server.Server.Threads -> "threads")
         workers
         (if workers = 1 then "" else "s")
         queue cache max_conns
@@ -1180,27 +1165,16 @@ let serve_cmd =
     Arg.(value & opt (some string) None & info [ "index" ] ~docv:"FILE"
            ~doc:"Sidecar index (default: corpus path + .umrsx).")
   in
-  let backend =
-    Arg.(value & opt string "epoll" & info [ "backend" ] ~docv:"B"
-           ~doc:"Connection backend: $(b,epoll) (single poller thread, \
-                 non-blocking fds, scales past FD_SETSIZE) or $(b,threads) \
-                 (reader thread per connection).")
-  in
   let max_conns =
     Arg.(value & opt int 10_240 & info [ "max-conns" ] ~docv:"N"
            ~doc:"Concurrent connection cap; excess are closed at accept.")
-  in
-  let no_mmap =
-    Arg.(value & flag & info [ "no-mmap" ]
-           ~doc:"Read the corpus through buffered channels instead of a \
-                 shared file mapping.")
   in
   Cmd.v
     (Cmd.info "serve"
        ~doc:"Serve corpus queries and scheme evaluations over a socket \
              (bounded queue, deadlines, evaluation cache, graceful drain).")
     Term.(const run $ addr_arg $ workers $ queue $ cache $ corpus $ index
-          $ backend $ max_conns $ no_mmap $ telemetry_arg)
+          $ max_conns $ telemetry_arg)
 
 let remote_cmd =
   let module C = Umrs_client in

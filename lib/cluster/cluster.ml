@@ -35,8 +35,7 @@ let stop_node t nd =
     nd.nd_server <- None
 
 let start ~corpus ~shards ~dir ?(replicas = 0) ?(workers = 1)
-    ?(queue_capacity = 64) ?(cache_capacity = 8) ?backend
-    ?(map_version = 1) () =
+    ?(queue_capacity = 64) ?(cache_capacity = 8) ?(map_version = 1) () =
   if replicas < 0 then invalid_arg "Cluster.start: replicas must be >= 0";
   match Umrs_store.Corpus.info ~path:corpus with
   | exception Sys_error m -> Error m
@@ -87,12 +86,7 @@ let start ~corpus ~shards ~dir ?(replicas = 0) ?(workers = 1)
                   { (Server.default_config nd.nd_addr) with
                     Server.workers; queue_capacity; cache_capacity;
                     corpus = Some pieces.(k).Umrs_store.Shard.pc_corpus;
-                    shard = Some (map, k);
-                    backend =
-                      (match backend with
-                      | Some b -> b
-                      | None ->
-                        (Server.default_config nd.nd_addr).Server.backend) }
+                    shard = Some (map, k) }
                 in
                 match Server.start cfg with
                 | Ok srv -> nd.nd_server <- Some srv

@@ -19,8 +19,7 @@ type t
 val start :
   corpus:string -> shards:int -> dir:string -> ?replicas:int ->
   ?workers:int -> ?queue_capacity:int -> ?cache_capacity:int ->
-  ?backend:Umrs_server.Server.backend -> ?map_version:int -> unit ->
-  (t, string) result
+  ?map_version:int -> unit -> (t, string) result
 (** Split [corpus] into [shards] pieces under [dir], write the shard
     map to [dir/cluster.umrsm], and start [shards * (replicas + 1)]
     servers (default [replicas = 0], 1 worker domain each). [dir] is

@@ -35,12 +35,11 @@ type config = {
   heartbeat : float;     (* expected beat interval, seconds *)
   miss_limit : int;      (* beats missed before a node is declared dead *)
   workers : int;
-  backend : Server.backend option;
 }
 
 let default_config ~dir ~corpus ~listen =
   { dir; corpus; listen; shards = 2; heartbeat = 0.5; miss_limit = 4;
-    workers = 2; backend = None }
+    workers = 2 }
 
 type t = {
   cfg : config;
@@ -653,11 +652,7 @@ let start cfg =
         let scfg =
           { (Server.default_config cfg.listen) with
             Server.workers = cfg.workers; corpus = Some cfg.corpus;
-            membership = Some (handle t);
-            backend =
-              (match cfg.backend with
-              | Some b -> b
-              | None -> (Server.default_config cfg.listen).Server.backend) }
+            membership = Some (handle t) }
         in
         (match Server.start scfg with
         | Error m ->

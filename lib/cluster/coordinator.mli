@@ -45,7 +45,6 @@ type config = {
   heartbeat : float;     (** expected beat interval, seconds *)
   miss_limit : int;      (** missed beats before a node is declared dead *)
   workers : int;
-  backend : Umrs_server.Server.backend option;
 }
 
 val default_config :

@@ -76,13 +76,12 @@ type config = {
   advertise : Wire.addr option;  (* default: the resolved listen addr *)
   heartbeat : float;
   workers : int;
-  backend : Server.backend option;
   join_attempts : int;
 }
 
 let default_config ~coordinator ~dir ~listen =
   { coordinator; dir; listen; advertise = None; heartbeat = 0.5;
-    workers = 2; backend = None; join_attempts = 10 }
+    workers = 2; join_attempts = 10 }
 
 type t = {
   cfg : config;
@@ -580,12 +579,7 @@ let start cfg =
     | Error m -> Error m
     | Ok () -> (
       let scfg =
-        { (Server.default_config cfg.listen) with
-          Server.workers = cfg.workers;
-          backend =
-            (match cfg.backend with
-            | Some b -> b
-            | None -> (Server.default_config cfg.listen).Server.backend) }
+        { (Server.default_config cfg.listen) with Server.workers = cfg.workers }
       in
       match Server.start scfg with
       | Error m -> Error m

@@ -54,7 +54,6 @@ type config = {
           processes connect to; default: the resolved listen address *)
   heartbeat : float;
   workers : int;
-  backend : Umrs_server.Server.backend option;
   join_attempts : int;  (** retries before {!start} gives up joining *)
 }
 

@@ -33,9 +33,6 @@ let poll1 fd ~readable ~writable ~timeout_ms =
   let mask = (if readable then 1 else 0) lor (if writable then 2 else 0) in
   poll1_ fd mask timeout_ms
 
-let wait_readable fd ~timeout_ms =
-  poll1 fd ~readable:true ~writable:false ~timeout_ms land 1 <> 0
-
 let wait_writable fd ~timeout_ms =
   poll1 fd ~readable:false ~writable:true ~timeout_ms land 2 <> 0
 

@@ -73,7 +73,6 @@ val poll1 : Unix.file_descr -> readable:bool -> writable:bool -> timeout_ms:int 
 (** Returns a bitmask: 1 = readable, 2 = writable, 4 = hup/error.
     0 on timeout or EINTR. *)
 
-val wait_readable : Unix.file_descr -> timeout_ms:int -> bool
 val wait_writable : Unix.file_descr -> timeout_ms:int -> bool
 
 val raise_nofile : int -> int

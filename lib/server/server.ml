@@ -1,7 +1,3 @@
-type backend =
-  | Epoll
-  | Threads
-
 type config = {
   addr : Wire.addr;
   workers : int;
@@ -9,12 +5,8 @@ type config = {
   cache_capacity : int;
   corpus : string option;
   index : string option;
-  max_frame_bytes : int;
-  max_sleep_ms : int;
   max_conns : int;
   handshake_timeout : float;
-  backend : backend;
-  mmap : bool;
   wbuf_hwm : int;
   shard : (Wire.shard_map * int) option;
   membership : (Wire.request -> Wire.outcome) option;
@@ -22,10 +14,12 @@ type config = {
 
 let default_config addr =
   { addr; workers = 2; queue_capacity = 64; cache_capacity = 128;
-    corpus = None; index = None; max_frame_bytes = Wire.default_max_frame;
-    max_sleep_ms = 60_000; max_conns = 10_240; handshake_timeout = 10.0;
-    backend = Epoll; mmap = true; wbuf_hwm = 256 * 1024; shard = None;
-    membership = None }
+    corpus = None; index = None; max_conns = 10_240; handshake_timeout = 10.0;
+    wbuf_hwm = 256 * 1024; shard = None; membership = None }
+
+(* cap on a [Sleep_ms] request, so one client cannot park a worker for
+   good *)
+let max_sleep_ms = 60_000
 
 (* ---------- telemetry ---------- *)
 
@@ -44,18 +38,7 @@ let g_live_conns = Telemetry.gauge "server.live_connections"
 let g_loop_wakeups = Telemetry.gauge "server.loop_wakeups"
 let g_cache_evictions = Telemetry.gauge "server.cache_evictions"
 
-(* ---------- connections (threads backend) ---------- *)
-
-type conn = {
-  c_id : int;
-  c_fd : Unix.file_descr;
-  c_ic : in_channel;
-  c_oc : out_channel;
-  c_wlock : Mutex.t;
-  mutable c_alive : bool;  (* cleared (under [c_wlock]) before close *)
-}
-
-(* ---------- connections (epoll backend) ----------
+(* ---------- connections ----------
 
    One [econn] per socket, owned exclusively by the poller thread:
    only [ec_id] ever escapes it (inside a worker's respond closure),
@@ -90,11 +73,9 @@ type epoll_state = {
   mutable ep_poller : Thread.t option;
 }
 
-(* A job is backend-neutral: the worker pool only ever answers through
-   [j_respond] (threads: write the frame under the connection's lock;
-   epoll: queue a completion and wake the poller). *)
+(* The worker pool only ever answers through [j_respond], which queues a
+   completion for the poller and wakes it. *)
 type job = {
-  j_id : int;
   j_deadline : float;  (* absolute seconds; [infinity] = none *)
   j_req : Wire.request;
   j_respond : Wire.outcome -> unit;
@@ -127,8 +108,6 @@ type t = {
   corpus_gen : int Atomic.t;
   queue : job Jobqueue.t;
   stop : bool Atomic.t;
-  conns : (int, conn) Hashtbl.t;
-  conns_lock : Mutex.t;
   cache : (string * string * string, Umrs_routing.Scheme.evaluation) Lru.t;
   cache_lock : Mutex.t;
   n_conns : int Atomic.t;  (* accepted, cumulative *)
@@ -141,7 +120,6 @@ type t = {
   n_cache_misses : int Atomic.t;
   n_worker_crashes : int Atomic.t;
   n_queue_hwm : int Atomic.t;
-  mutable acceptor : Thread.t option;
   (* Worker pool under supervision: [workers_arr.(slot)] is the live
      domain for that slot; a domain killed by an escaped exception
      reports its slot on [sup_deaths] and the supervisor thread joins
@@ -154,8 +132,7 @@ type t = {
   mutable sup_generation : int;
   mutable sup_stop : bool;
   mutable supervisor : Thread.t option;
-  mutable readers : Thread.t list;  (* under [conns_lock] *)
-  ep : epoll_state option;  (* Some iff [cfg.backend = Epoll] *)
+  ep : epoll_state;
   mutable waited : bool;
 }
 
@@ -188,7 +165,7 @@ let set_corpus t ~corpus ?index ?origin () =
   | Some path -> (
     (* validate before publishing, like [start] does: a worker finding
        the new piece unopenable would silently serve nothing *)
-    match Umrs_store.Query.open_ ~corpus:path ?index ~mmap:t.cfg.mmap () with
+    match Umrs_store.Query.open_ ~corpus:path ?index ~mmap:true () with
     | Error e -> Error (Umrs_store.Query.error_to_string e)
     | Ok q ->
       Umrs_store.Query.close q;
@@ -218,10 +195,7 @@ let stats_of srv =
     st_draining = Atomic.get srv.stop;
     st_live_conns = Atomic.get srv.n_live;
     st_cache_evictions = evictions;
-    st_loop_wakeups =
-      (match srv.ep with
-      | Some es -> Umrs_evloop.wakeups es.ep_loop
-      | None -> 0);
+    st_loop_wakeups = Umrs_evloop.wakeups srv.ep.ep_loop;
     st_queue_hwm = Atomic.get srv.n_queue_hwm }
 
 let note_queue_depth srv =
@@ -233,18 +207,6 @@ let note_queue_depth srv =
   in
   bump ();
   Telemetry.set_gauge g_queue_depth (float_of_int d)
-
-(* Only the reader thread ever closes a connection's descriptor;
-   everyone else at most marks it dead and writes under [c_wlock], so a
-   worker can never touch a recycled fd. *)
-let send_outcome conn ~id outcome =
-  Mutex.lock conn.c_wlock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock conn.c_wlock)
-    (fun () ->
-      if conn.c_alive then
-        try Wire.write_frame conn.c_oc (Wire.encode_outcome ~id outcome)
-        with Sys_error _ | Unix.Unix_error _ -> conn.c_alive <- false)
 
 (* ---------- request execution (worker side) ---------- *)
 
@@ -413,9 +375,9 @@ let exec srv query req =
           (fun () -> Lru.add srv.cache key e);
         Wire.Reply (Wire.R_evaluation e)))
   | Wire.Sleep_ms ms ->
-    if ms < 0 || ms > srv.cfg.max_sleep_ms then
+    if ms < 0 || ms > max_sleep_ms then
       Wire.Rejected
-        (Printf.sprintf "sleep %d outside [0, %d] ms" ms srv.cfg.max_sleep_ms)
+        (Printf.sprintf "sleep %d outside [0, %d] ms" ms max_sleep_ms)
     else begin
       if ms > 0 then Unix.sleepf (float_of_int ms /. 1000.0);
       Wire.Reply (Wire.R_slept ms)
@@ -467,17 +429,17 @@ let open_worker_query srv =
   match Atomic.get srv.corpus_ref with
   | None, _, _ -> None
   | Some corpus, index, origin -> (
-    match Umrs_store.Query.open_ ~corpus ?index ~mmap:srv.cfg.mmap () with
+    match Umrs_store.Query.open_ ~corpus ?index ~mmap:true () with
     | Ok q -> Some (q, origin)
     | Error _ -> None (* validated at [start]/[set_corpus]; raced damage *))
 
 let worker_loop srv =
   (* Each worker owns a private Query handle: the point lookups share a
-     seekable cursor that is single-threaded by design.  Under [mmap]
-     every handle shares one file mapping, so a pool of N workers costs
-     one mapping, not N channel buffers.  The generation counter is
-     read before the path: a corpus swap publishes path first, so a
-     worker that sees the new generation reopens the new piece. *)
+     seekable cursor that is single-threaded by design.  Every handle
+     shares one file mapping, so a pool of N workers costs one mapping,
+     not N channel buffers.  The generation counter is read before the
+     path: a corpus swap publishes path first, so a worker that sees
+     the new generation reopens the new piece. *)
   let my_gen = ref (Atomic.get srv.corpus_gen) in
   let query = ref (open_worker_query srv) in
   Fun.protect
@@ -552,9 +514,9 @@ let supervisor_loop srv =
   in
   loop ()
 
-(* ---------- shared admission ---------- *)
+(* ---------- admission ---------- *)
 
-(* Control-plane requests run on the poller/reader thread itself; with
+(* Control-plane requests run on the poller thread itself; with
    a membership hook attached they can raise (bad reshard argument,
    racing topology), and that must cost the request, not the thread. *)
 let exec_control srv req =
@@ -568,12 +530,11 @@ let deadline_of deadline_ms =
   else Unix.gettimeofday () +. (float_of_int deadline_ms /. 1000.)
 
 (* Admit a decoded data-plane request to the worker pool, or answer
-   [Overloaded] through [respond] — the one backpressure policy both
-   backends share. *)
-let admit srv ~id ~deadline_ms req ~respond =
+   [Overloaded] through [respond]: a full or draining queue sheds load
+   instead of blocking the poller. *)
+let admit srv ~deadline_ms req ~respond =
   let job =
-    { j_id = id; j_deadline = deadline_of deadline_ms; j_req = req;
-      j_respond = respond }
+    { j_deadline = deadline_of deadline_ms; j_req = req; j_respond = respond }
   in
   if Atomic.get srv.stop || not (Jobqueue.try_push srv.queue job) then begin
     Atomic.incr srv.n_overloaded;
@@ -582,129 +543,7 @@ let admit srv ~id ~deadline_ms req ~respond =
   end
   else note_queue_depth srv
 
-(* ---------- connection reader (threads backend) ---------- *)
-
-let close_conn srv conn =
-  Mutex.lock conn.c_wlock;
-  let was_alive = conn.c_alive in
-  conn.c_alive <- false;
-  Mutex.unlock conn.c_wlock;
-  Mutex.lock srv.conns_lock;
-  Hashtbl.remove srv.conns conn.c_id;
-  Mutex.unlock srv.conns_lock;
-  if was_alive || true then Atomic.decr srv.n_live;
-  Telemetry.set_gauge g_live_conns (float_of_int (Atomic.get srv.n_live));
-  (* closes the fd too; the reader is the single closure point *)
-  close_out_noerr conn.c_oc
-
-let handshake conn =
-  let b = Bytes.create Wire.hello_bytes in
-  really_input conn.c_ic b 0 Wire.hello_bytes;
-  match Wire.check_hello b with
-  | Error _ -> false
-  | Ok () ->
-    output_bytes conn.c_oc (Wire.hello ());
-    flush conn.c_oc;
-    true
-
-(* best-effort: some socket families refuse the option, and a missing
-   timeout only costs slowloris protection, not correctness *)
-let set_rcvtimeo fd seconds =
-  try Unix.setsockopt_float fd Unix.SO_RCVTIMEO seconds
-  with Unix.Unix_error _ | Invalid_argument _ -> ()
-
-let reader_loop srv conn =
-  (try
-     (* a client that connects and sends nothing must not pin a thread
-        and an fd forever: the hello read is on the clock *)
-     if srv.cfg.handshake_timeout > 0.0 then
-       set_rcvtimeo conn.c_fd srv.cfg.handshake_timeout;
-     if handshake conn then begin
-       if srv.cfg.handshake_timeout > 0.0 then set_rcvtimeo conn.c_fd 0.0;
-       let continue = ref true in
-       while !continue do
-         match Wire.read_frame ~max_bytes:srv.cfg.max_frame_bytes conn.c_ic with
-         | None -> continue := false
-         | Some payload -> (
-           match Wire.decode_request payload with
-           | exception _ ->
-             (* protocol violation: drop the connection, don't guess *)
-             continue := false
-           | id, deadline_ms, req -> (
-             Atomic.incr srv.n_requests;
-             Telemetry.add c_requests 1;
-             match req with
-             | Wire.Ping _ | Wire.Stats | Wire.Get_shard_map
-             | Wire.Join _ | Wire.Leave _ | Wire.Heartbeat _
-             | Wire.Reshard _ | Wire.Handoff_done _ | Wire.Cluster_status ->
-               (* control plane: answered inline so a saturated worker
-                  pool never blinds monitoring, map refresh, or
-                  heartbeats (a busy data plane must not read as a dead
-                  node) *)
-               send_outcome conn ~id (exec_control srv req)
-             | _ ->
-               admit srv ~id ~deadline_ms req ~respond:(fun outcome ->
-                   send_outcome conn ~id outcome)))
-       done
-     end
-   with
-   | End_of_file | Sys_error _ | Sys_blocked_io | Unix.Unix_error _
-   | Umrs_fault.Fault.Injected _ -> ());
-  close_conn srv conn;
-  (* self-prune so a long-lived server accepting many short-lived
-     connections does not grow [readers] (and the channels each entry
-     retains) without bound; [wait] joins whoever is still listed *)
-  let self = Thread.id (Thread.self ()) in
-  Mutex.lock srv.conns_lock;
-  srv.readers <- List.filter (fun th -> Thread.id th <> self) srv.readers;
-  Mutex.unlock srv.conns_lock
-
-(* ---------- acceptor (threads backend) ---------- *)
-
-let accept_loop srv =
-  let next_id = ref 0 in
-  while not (Atomic.get srv.stop) do
-    (* poll(2), not select: the listener may be numbered past
-       FD_SETSIZE when the process holds many descriptors.  The 50 ms
-       tick only bounds shutdown latency — a pending connection is
-       accepted as soon as the kernel reports it. *)
-    if Umrs_evloop.wait_readable srv.listen_fd ~timeout_ms:50 then begin
-      match Umrs_fault.Io.accept srv.listen_fd with
-      | exception Unix.Unix_error _ -> ()
-      | fd, _ ->
-        Mutex.lock srv.conns_lock;
-        let live = Hashtbl.length srv.conns in
-        Mutex.unlock srv.conns_lock;
-        if live >= srv.cfg.max_conns then begin
-          (* at capacity: shed the connection instead of minting a
-             reader thread per socket until fd exhaustion *)
-          Telemetry.add c_conn_refused 1;
-          try Unix.close fd with Unix.Unix_error _ -> ()
-        end
-        else begin
-          Atomic.incr srv.n_conns;
-          Atomic.incr srv.n_live;
-          Telemetry.add c_accepted 1;
-          Telemetry.set_gauge g_live_conns
-            (float_of_int (Atomic.get srv.n_live));
-          incr next_id;
-          let conn =
-            { c_id = !next_id; c_fd = fd;
-              c_ic = Unix.in_channel_of_descr fd;
-              c_oc = Unix.out_channel_of_descr fd;
-              c_wlock = Mutex.create (); c_alive = true }
-          in
-          Mutex.lock srv.conns_lock;
-          Hashtbl.replace srv.conns conn.c_id conn;
-          let th = Thread.create (fun () -> reader_loop srv conn) () in
-          srv.readers <- th :: srv.readers;
-          Mutex.unlock srv.conns_lock
-        end
-    end
-  done;
-  Unix.close srv.listen_fd
-
-(* ---------- epoll backend: buffers ---------- *)
+(* ---------- connection buffers ---------- *)
 
 let initial_rbuf = 4096
 let initial_wbuf = 1024
@@ -752,7 +591,7 @@ let append_frame ec payload =
   Bytes.blit payload 0 ec.ec_wbuf (tail + 4) n;
   ec.ec_wlen <- ec.ec_wlen + 4 + n
 
-(* ---------- epoll backend: poller ---------- *)
+(* ---------- poller ---------- *)
 
 let close_econn srv es ec =
   if not ec.ec_closed then begin
@@ -838,7 +677,7 @@ let process_frame srv es ec payload =
       append_frame ec (Wire.encode_outcome ~id (exec_control srv req))
     | _ ->
       let conn_id = ec.ec_id in
-      admit srv ~id ~deadline_ms req ~respond:(fun outcome ->
+      admit srv ~deadline_ms req ~respond:(fun outcome ->
           (* worker side: encode here (in parallel), deliver by conn
              id — never by fd, which may have been recycled *)
           let b = Wire.encode_outcome ~id outcome in
@@ -865,7 +704,7 @@ let parse_input srv es ec =
     let continue = ref true in
     while !continue && ec.ec_rlen - !off >= 4 do
       let len = Int32.to_int (Bytes.get_int32_le ec.ec_rbuf !off) in
-      if len < 0 || len > srv.cfg.max_frame_bytes then begin
+      if len < 0 || len > Wire.default_max_frame then begin
         close_econn srv es ec;
         continue := false
       end
@@ -1004,9 +843,9 @@ let poller_loop srv es =
         match Hashtbl.find_opt es.ep_by_fd (Umrs_evloop.int_of_fd fd) with
         | None -> ()
         | Some ec -> (
-          (* last-resort containment, mirroring [reader_loop]: whatever
-             a storm injects (or a raced descriptor raises) takes down
-             this one connection, never the poller *)
+          (* last-resort containment: whatever a storm injects (or a
+             raced descriptor raises) takes down this one connection,
+             never the poller *)
           try
             if readable && not finishing then handle_readable srv es ec;
             if not ec.ec_closed then begin
@@ -1057,7 +896,7 @@ let poller_loop srv es =
     end
   done;
   (* stragglers that never drained their buffers within the grace
-     period lose the tail, exactly like a thread-backend shutdown *)
+     period lose the tail *)
   let all = Hashtbl.fold (fun _ ec acc -> ec :: acc) es.ep_by_id [] in
   List.iter (fun ec -> close_econn srv es ec) all;
   if !listen_open then (try Unix.close srv.listen_fd with Unix.Unix_error _ -> ());
@@ -1069,9 +908,7 @@ let validate_corpus cfg =
   match cfg.corpus with
   | None -> Ok ()
   | Some corpus -> (
-    match
-      Umrs_store.Query.open_ ~corpus ?index:cfg.index ~mmap:cfg.mmap ()
-    with
+    match Umrs_store.Query.open_ ~corpus ?index:cfg.index ~mmap:true () with
     | Ok q ->
       Umrs_store.Query.close q;
       Ok ()
@@ -1161,14 +998,10 @@ let start cfg =
         (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
          with Invalid_argument _ -> ());
         let ep =
-          match cfg.backend with
-          | Threads -> None
-          | Epoll ->
-            Some
-              { ep_loop = Umrs_evloop.create ();
-                ep_by_fd = Hashtbl.create 64; ep_by_id = Hashtbl.create 64;
-                ep_comp_lock = Mutex.create (); ep_completions = [];
-                ep_finish = Atomic.make false; ep_poller = None }
+          { ep_loop = Umrs_evloop.create ();
+            ep_by_fd = Hashtbl.create 64; ep_by_id = Hashtbl.create 64;
+            ep_comp_lock = Mutex.create (); ep_completions = [];
+            ep_finish = Atomic.make false; ep_poller = None }
         in
         let srv =
           { cfg; listen_fd; actual_addr;
@@ -1186,7 +1019,6 @@ let start cfg =
             corpus_gen = Atomic.make 0;
             queue = Jobqueue.create ~capacity:cfg.queue_capacity;
             stop = Atomic.make false;
-            conns = Hashtbl.create 16; conns_lock = Mutex.create ();
             cache = Lru.create ~capacity:cfg.cache_capacity;
             cache_lock = Mutex.create ();
             n_conns = Atomic.make 0; n_live = Atomic.make 0;
@@ -1195,27 +1027,20 @@ let start cfg =
             n_rejected = Atomic.make 0; n_cache_hits = Atomic.make 0;
             n_cache_misses = Atomic.make 0; n_worker_crashes = Atomic.make 0;
             n_queue_hwm = Atomic.make 0;
-            acceptor = None; workers_arr = [||];
+            workers_arr = [||];
             sup_lock = Mutex.create (); sup_cond = Condition.create ();
             sup_deaths = Queue.create (); sup_generation = 0;
-            sup_stop = false; supervisor = None; readers = [];
-            ep; waited = false }
+            sup_stop = false; supervisor = None; ep; waited = false }
         in
         srv.workers_arr <-
           Array.init cfg.workers (fun slot -> Domain.spawn (worker_body srv slot));
         srv.supervisor <- Some (Thread.create supervisor_loop srv);
-        (match srv.ep with
-        | Some es ->
-          es.ep_poller <- Some (Thread.create (fun () -> poller_loop srv es) ())
-        | None ->
-          srv.acceptor <- Some (Thread.create (fun () -> accept_loop srv) ()));
+        ep.ep_poller <- Some (Thread.create (fun () -> poller_loop srv ep) ());
         Ok srv)
 
 let shutdown srv =
   Atomic.set srv.stop true;
-  match srv.ep with
-  | Some es -> Umrs_evloop.wakeup es.ep_loop
-  | None -> ()
+  Umrs_evloop.wakeup srv.ep.ep_loop
 
 let wait srv =
   if not srv.waited then begin
@@ -1228,14 +1053,11 @@ let wait srv =
     while not (Atomic.get srv.stop) do
       (try Unix.sleepf 0.05 with Unix.Unix_error (Unix.EINTR, _, _) -> ())
     done;
-    (* 1. stop admission of connections.  Threads: the acceptor exits
-       once [stop] is set and closes the listener.  Epoll: the poller
-       notices [stop] on its next tick (kick it awake) and closes the
-       listener itself; data-plane requests shed to Overloaded from
-       here on ([admit] checks [stop]). *)
-    (match srv.ep with
-    | Some es -> Umrs_evloop.wakeup es.ep_loop
-    | None -> Option.iter Thread.join srv.acceptor);
+    (* 1. stop admission of connections: the poller notices [stop] on
+       its next tick (kick it awake) and closes the listener itself;
+       data-plane requests shed to Overloaded from here on ([admit]
+       checks [stop]). *)
+    Umrs_evloop.wakeup srv.ep.ep_loop;
     (* 2. stop admission of jobs; workers drain every accepted job,
        answer it, then exit. A worker that dies mid-drain is replaced
        by the supervisor (the replacement finishes the drain), so the
@@ -1272,35 +1094,16 @@ let wait srv =
     Condition.broadcast srv.sup_cond;
     Mutex.unlock srv.sup_lock;
     Option.iter Thread.join srv.supervisor;
-    (match srv.ep with
-    | Some es ->
-      (* 3. every job is answered; its reply sits in the completion
-         list or a write buffer.  Tell the poller to flush them all,
-         close every connection, and exit. *)
-      Atomic.set es.ep_finish true;
-      Umrs_evloop.wakeup es.ep_loop;
-      Option.iter Thread.join es.ep_poller;
-      (* 4. responses are on the wire: flush telemetry so the JSONL
-         sink holds whole records even if the process dies right
-         after *)
-      Telemetry.flush_metrics ();
-      Telemetry.flush ()
-    | None ->
-      (* 3. responses are all written: flush telemetry so the JSONL
-         sink holds whole records even if the process dies right
-         after *)
-      Telemetry.flush_metrics ();
-      Telemetry.flush ();
-      (* 4. wake readers blocked mid-read; they close their own fds *)
-      Mutex.lock srv.conns_lock;
-      Hashtbl.iter
-        (fun _ conn ->
-          try Unix.shutdown conn.c_fd Unix.SHUTDOWN_ALL
-          with Unix.Unix_error _ -> ())
-        srv.conns;
-      let readers = srv.readers in
-      Mutex.unlock srv.conns_lock;
-      List.iter Thread.join readers);
+    (* 3. every job is answered; its reply sits in the completion list
+       or a write buffer.  Tell the poller to flush them all, close
+       every connection, and exit. *)
+    Atomic.set srv.ep.ep_finish true;
+    Umrs_evloop.wakeup srv.ep.ep_loop;
+    Option.iter Thread.join srv.ep.ep_poller;
+    (* 4. responses are on the wire: flush telemetry so the JSONL sink
+       holds whole records even if the process dies right after *)
+    Telemetry.flush_metrics ();
+    Telemetry.flush ();
     match srv.actual_addr with
     | Wire.Unix_sock path -> (try Sys.remove path with Sys_error _ -> ())
     | Wire.Tcp _ -> ()

@@ -8,34 +8,22 @@
 
     {2 Architecture}
 
-    Two interchangeable connection backends share one worker pool and
-    one backpressure/drain policy:
-
-    {e Epoll} (default): a single {e poller} thread owns the listening
-    socket and every connection fd, all non-blocking, multiplexed
-    through {!Evloop} (Linux epoll, [poll(2)]-based select fallback
-    elsewhere). The poller accepts, performs the hello exchange,
-    accumulates per-connection read buffers, decodes complete frames,
-    answers control-plane requests ([Ping], [Stats]) inline, and pushes
-    everything else onto a bounded {!Jobqueue} consumed by a pool of
-    {e worker domains} (OCaml 5 [Domain.spawn]). A worker encodes its
+    A single {e poller} thread owns the listening socket and every
+    connection fd, all non-blocking, multiplexed through {!Evloop}
+    (Linux epoll, [select] fallback elsewhere). The poller accepts,
+    performs the hello exchange, accumulates per-connection read
+    buffers, decodes complete frames, answers control-plane requests
+    ([Ping], [Stats]) inline, and pushes everything else onto a bounded
+    {!Jobqueue} consumed by a pool of {e worker domains} (OCaml 5
+    [Domain.spawn]). A worker encodes its
     reply off-thread, queues it keyed by connection id (never fd, which
     the kernel recycles), and wakes the poller through an
     eventfd/self-pipe; the poller appends the frame to the connection's
     write buffer and flushes opportunistically, arming write interest
     only while bytes remain. A connection is a few KiB of buffer, not a
     thread — 10k+ concurrent connections are a Hashtbl, not a stack
-    farm.
-
-    {e Threads}: the PR-4 model — an {e acceptor} thread plus a
-    {e reader} thread per connection, blocking channel I/O, responses
-    written by whichever thread produced them under a per-connection
-    write mutex. Simpler to reason about under ptrace/strace and kept
-    as a behavioral reference; it tops out near the thread and
-    FD_SETSIZE limits the epoll backend exists to remove.
-
-    Out-of-order completion is expected under both backends; clients
-    match responses by request id.
+    farm. Out-of-order completion is expected; clients match responses
+    by request id.
 
     A {e supervisor} thread watches the worker pool. An exception that
     escapes a request handler answers that request [Rejected], kills
@@ -49,9 +37,9 @@
 
     A full job queue sheds load: the request is answered [Overloaded]
     immediately instead of blocking, so a saturated server stays
-    responsive and never builds unbounded latency. On the epoll backend
-    a slow-reading client gets per-connection write backpressure too:
-    above [wbuf_hwm] buffered reply bytes the poller stops reading that
+    responsive and never builds unbounded latency. A slow-reading
+    client gets per-connection write backpressure too: above
+    [wbuf_hwm] buffered reply bytes the poller stops reading that
     connection (the client feels TCP backpressure) and resumes below
     half the mark. Each request may carry a deadline; a job whose
     deadline expires while queued is answered [Timed_out] without being
@@ -63,27 +51,21 @@
     differ only in local port numbering) can never alias, not even by
     hash collision.
 
-    With [mmap] set (the default) workers read the corpus through
-    {!Umrs_store.Mmap} file mappings: every worker shares one mapping
-    of the corpus and one of the index, record ranges come out of the
-    page cache with a single [memcpy], and byte-for-byte identical
-    results to the channel path (tested).
+    Workers read the corpus through {!Umrs_store.Mmap} file mappings:
+    every worker shares one mapping of the corpus and one of the index,
+    record ranges come out of the page cache with a single [memcpy],
+    and byte-for-byte identical results to the channel path (tested).
 
     {2 Shutdown}
 
     {!shutdown} (or SIGTERM/SIGINT after
     {!install_signal_handlers}) stops admission; every request already
     accepted is still executed and answered, workers drain the queue
-    and exit, pending replies are flushed to their sockets (the epoll
-    backend bounds the flush with a grace period against unreachable
-    peers), telemetry metrics are flushed ({!Telemetry.flush}), and
-    only then are connections closed. Per-worker {!Umrs_store.Query}
-    handles are closed on the way out. *)
-
-type backend =
-  | Epoll   (** single poller thread, edge-level event loop ({!Evloop});
-                falls back to [poll]/[select] multiplexing off-Linux *)
-  | Threads (** acceptor + reader thread per connection (PR-4 model) *)
+    and exit, the poller flushes pending replies to their sockets
+    (bounded by a grace period against unreachable peers) and closes
+    every connection, and telemetry metrics are flushed
+    ({!Telemetry.flush}). Per-worker {!Umrs_store.Query} handles are
+    closed on the way out. *)
 
 type config = {
   addr : Wire.addr;
@@ -92,18 +74,13 @@ type config = {
   cache_capacity : int;      (** evaluation LRU entries, >= 1 *)
   corpus : string option;    (** corpus file to serve (optional) *)
   index : string option;     (** sidecar index (default: corpus + .umrsx) *)
-  max_frame_bytes : int;     (** reject larger frames before allocating *)
-  max_sleep_ms : int;        (** cap on [Sleep_ms] requests *)
   max_conns : int;           (** concurrent connections; excess are
                                  closed at accept, >= 1 *)
   handshake_timeout : float; (** seconds a fresh connection may take to
                                  send its hello; <= 0 disables *)
-  backend : backend;         (** connection multiplexing model *)
-  mmap : bool;               (** workers read the corpus through shared
-                                 file mappings instead of channels *)
-  wbuf_hwm : int;            (** epoll backend: buffered reply bytes per
-                                 connection above which its reads pause
-                                 (resume at half), >= 1 *)
+  wbuf_hwm : int;            (** buffered reply bytes per connection
+                                 above which its reads pause (resume at
+                                 half), >= 1 *)
   shard : (Wire.shard_map * int) option;
       (** when this node is one shard of a cluster: the shard map it
           serves under and its own index in [sm_shards]. The node then
@@ -116,21 +93,22 @@ type config = {
       (** a coordinator's handler for the membership control plane
           ([Join]/[Leave]/[Heartbeat]/[Reshard]/[Handoff_done]/
           [Cluster_status], and [Get_shard_map] when present). Runs on
-          the poller/reader thread — it must stay fast and must not
+          the poller thread — it must stay fast and must not
           block on the data plane. Escaped exceptions answer the
           request [Rejected]. *)
 }
 
 val default_config : Wire.addr -> config
-(** 2 workers, queue 64, cache 128, no corpus, {!Wire.default_max_frame},
-    sleep cap 60000 ms, 10240 connections, 10 s handshake timeout,
-    [Epoll] backend, [mmap] on, 256 KiB write high-water mark. *)
+(** 2 workers, queue 64, cache 128, no corpus, 10240 connections, 10 s
+    handshake timeout, 256 KiB write high-water mark. Frames longer than
+    {!Wire.default_max_frame} drop the connection, and [Sleep_ms]
+    requests past 60000 ms are rejected. *)
 
 type t
 
 val start : config -> (t, string) result
 (** Validate the corpus/index (when configured), bind and listen, spawn
-    the poller (or acceptor) and the worker pool. [Error] (not an
+    the poller and the worker pool. [Error] (not an
     exception) on a bad config, unbindable address, or a corpus that
     fails {!Umrs_store.Query.open_}. A TCP port of 0 is resolved by the
     kernel; see {!addr}. *)

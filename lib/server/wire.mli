@@ -177,8 +177,7 @@ type server_stats = {
   st_draining : bool;       (** shutdown requested, drain in progress *)
   st_live_conns : int;      (** connections open right now *)
   st_cache_evictions : int; (** evaluation LRU capacity evictions *)
-  st_loop_wakeups : int;    (** poller wakeups (eventfd/self-pipe);
-                                0 on the threads backend *)
+  st_loop_wakeups : int;    (** poller wakeups (eventfd/self-pipe) *)
   st_queue_hwm : int;       (** deepest the job queue has been *)
 }
 

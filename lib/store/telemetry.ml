@@ -1,6 +1,8 @@
 type value = Int of int | Float of float | Str of string | Bool of bool
 
-type counter = { c_name : string; mutable c_value : int }
+(* Atomic: worker domains bump the same counter concurrently, and a
+   plain [c_value <- c_value + n] loses increments under OCaml 5. *)
+type counter = { c_name : string; c_value : int Atomic.t }
 type gauge = { g_name : string; mutable g_value : float }
 
 type sink = { oc : out_channel; opened_at : float }
@@ -77,12 +79,12 @@ let counter name =
   match List.find_opt (fun c -> c.c_name = name) !counters with
   | Some c -> c
   | None ->
-    let c = { c_name = name; c_value = 0 } in
+    let c = { c_name = name; c_value = Atomic.make 0 } in
     counters := c :: !counters;
     c
 
-let add c n = c.c_value <- c.c_value + n
-let counter_value c = c.c_value
+let add c n = ignore (Atomic.fetch_and_add c.c_value n)
+let counter_value c = Atomic.get c.c_value
 
 let gauge name =
   match List.find_opt (fun g -> g.g_name = name) !gauges with
@@ -98,7 +100,7 @@ let gauge_value g = g.g_value
 let flush_metrics () =
   if enabled () then begin
     let fields =
-      List.rev_map (fun c -> (c.c_name, Int c.c_value)) !counters
+      List.rev_map (fun c -> (c.c_name, Int (counter_value c))) !counters
       @ List.rev_map (fun g -> (g.g_name, Float g.g_value)) !gauges
     in
     if fields <> [] then emit "metrics" fields

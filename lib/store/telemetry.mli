@@ -65,7 +65,8 @@ val counter : string -> counter
 (** Register (or look up) a counter by name. *)
 
 val add : counter -> int -> unit
-(** Increment; allocation-free, sink or not. *)
+(** Increment; allocation-free, sink or not, and exact when several
+    domains add to one counter at once. *)
 
 val counter_value : counter -> int
 

@@ -668,41 +668,15 @@ let test_evloop_poll1 () =
       (try Unix.close r with Unix.Unix_error _ -> ());
       try Unix.close w with Unix.Unix_error _ -> ())
   @@ fun () ->
-  check_true "empty pipe is not readable"
-    (not (Evloop.wait_readable r ~timeout_ms:10));
+  let readable ~timeout_ms =
+    Evloop.poll1 r ~readable:true ~writable:false ~timeout_ms land 1 <> 0
+  in
+  check_true "empty pipe is not readable" (not (readable ~timeout_ms:10));
   check_true "open pipe is writable" (Evloop.wait_writable w ~timeout_ms:1000);
   ignore (Unix.write w (Bytes.of_string "y") 0 1);
-  check_true "byte makes it readable" (Evloop.wait_readable r ~timeout_ms:1000)
+  check_true "byte makes it readable" (readable ~timeout_ms:1000)
 
-(* ---------- threads backend: same contract end to end ---------- *)
-
-let test_threads_backend_e2e () =
-  with_tmp_dir @@ fun dir ->
-  let corpus = build_corpus dir in
-  let addr = Wire.Unix_sock (Filename.concat dir "thr.sock") in
-  let cfg =
-    { (Server.default_config addr) with
-      Server.backend = Server.Threads; corpus = Some corpus; workers = 2;
-      queue_capacity = 32 }
-  in
-  let srv = ok_server "start threads" (Server.start cfg) in
-  Fun.protect
-    ~finally:(fun () ->
-      Server.shutdown srv;
-      Server.wait srv)
-    (fun () ->
-      with_client addr @@ fun c ->
-      ok_client "ping" (C.ping c);
-      ignore (ok_client "nth" (C.nth c 0));
-      let rs =
-        C.call_pipelined c [ Wire.Ping 1; Wire.Nth 0; Wire.Range_prefix [||] ]
-      in
-      check_int "batch answered in full" 3 (List.length rs);
-      List.iter (fun r -> ignore (ok_client "pipelined" r)) rs;
-      let s = ok_client "stats" (C.stats c) in
-      check_true "live connection counted" (s.Wire.st_live_conns >= 1))
-
-(* ---------- slowloris and handshake reaping (epoll backend) ---------- *)
+(* ---------- slowloris and handshake reaping ---------- *)
 
 let sock_path_of = function
   | Wire.Unix_sock p -> p
@@ -796,7 +770,7 @@ let test_handshake_timeout_reaps_silent_conns () =
           check_true "reaped near the deadline, not eventually"
             (Unix.gettimeofday () -. t0 < 3.0)))
 
-(* ---------- write backpressure (epoll backend) ---------- *)
+(* ---------- write backpressure ---------- *)
 
 let test_write_backpressure_tiny_hwm () =
   with_tmp_dir @@ fun dir ->
@@ -906,6 +880,42 @@ let test_connection_cap_at_scale () =
             retry (n - 1)
       in
       retry 40)
+
+(* ---------- frame cap on the poller ---------- *)
+
+(* The poller checks every length prefix against [Wire.default_max_frame]
+   before buffering a byte of payload: a prefix one past the cap, or
+   0xFFFFFFFF (which [Int32.to_int] reads as -1), closes that connection
+   without a reply while everyone else keeps being served. *)
+let test_oversized_frame_drops_connection () =
+  with_tmp_dir @@ fun dir ->
+  with_server dir @@ fun addr _srv ->
+  let path = sock_path_of addr in
+  let over = raw_connect path and neg = raw_connect path in
+  Fun.protect
+    ~finally:(fun () ->
+      close_quietly over;
+      close_quietly neg)
+  @@ fun () ->
+  with_client addr @@ fun c ->
+  let send_prefix fd len =
+    let b = Bytes.create 4 in
+    Bytes.set_int32_le b 0 len;
+    check_int "length prefix sent whole" 4 (Unix.write fd b 0 4)
+  in
+  send_prefix over (Int32.of_int (Wire.default_max_frame + 1));
+  send_prefix neg 0xFFFF_FFFFl;
+  List.iter
+    (fun (name, fd) ->
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+      match Unix.read fd (Bytes.create 1) 0 1 with
+      | 0 -> ()
+      | _ -> Alcotest.failf "%s: server answered an oversized frame" name
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+        Alcotest.failf "%s: oversized frame left the connection open" name
+      | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> ())
+    [ ("cap + 1", over); ("0xFFFFFFFF", neg) ];
+  ok_client "concurrent client still served" (C.ping c)
 
 (* ---------- select fallback, forced end to end via the env knob ---------- *)
 
@@ -1043,7 +1053,6 @@ let suite =
     case "bad configs are errors" test_bad_config_is_error;
     case "evloop: readiness, interest, wakeup" test_evloop_readiness_and_wakeup;
     case "evloop: single-fd poll" test_evloop_poll1;
-    case "threads backend serves the same contract" test_threads_backend_e2e;
     case "slowloris: a dripped frame is buffered, not a thread"
       test_slowloris_partial_frame;
     case "handshake timeout reaps silent connections"
@@ -1053,6 +1062,8 @@ let suite =
     case "a thousand-plus live connections (past FD_SETSIZE)"
       test_thousand_plus_connections;
     case "connection cap holds at scale" test_connection_cap_at_scale;
+    case "oversized length prefix drops only that connection"
+      test_oversized_frame_drops_connection;
     case "select fallback serves the same contract end to end"
       test_select_backend_e2e;
     case "protocol version mismatch is typed and clean"

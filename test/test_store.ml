@@ -460,6 +460,39 @@ let test_telemetry_noop_allocates_nothing () =
     (Printf.sprintf "no per-event allocation (%.0f words for 10k events)" words)
     (words < 100.0)
 
+(* Server worker domains bump shared counters (cache hits, timeouts,
+   rejections); every increment must land. Four domains start together
+   behind a barrier, and each keeps adding for at least a million adds
+   and at least 0.2 s: a fixed count can finish inside one scheduler
+   slice before the next domain runs, a time floor makes the adds
+   overlap however the machine schedules the domains. *)
+let test_telemetry_counter_exact_across_domains () =
+  Telemetry.reset_for_tests ();
+  let c = Telemetry.counter "hammer" in
+  let domains = 4 and chunk = 10_000 in
+  let ready = Atomic.make 0 in
+  let hammer () =
+    Atomic.incr ready;
+    while Atomic.get ready < domains do
+      Domain.cpu_relax ()
+    done;
+    let t0 = Umrs_bench.Clock.now_ns () and adds = ref 0 in
+    while !adds < 1_000_000 || Umrs_bench.Clock.since_s t0 < 0.2 do
+      for _ = 1 to chunk do
+        Telemetry.add c 1
+      done;
+      adds := !adds + chunk
+    done;
+    !adds
+  in
+  let total =
+    List.fold_left
+      (fun n d -> n + Domain.join d)
+      0
+      (List.init domains (fun _ -> Domain.spawn hammer))
+  in
+  check_int "no increment lost" total (Telemetry.counter_value c)
+
 let test_telemetry_disabled_by_default () =
   Telemetry.reset_for_tests ();
   check_true "disabled by default" (not (Telemetry.enabled ()));
@@ -492,5 +525,7 @@ let suite =
     case "telemetry flush mid-stream" test_telemetry_flush_mid_stream;
     case "telemetry escapes strings" test_telemetry_escaping;
     case "telemetry no-op allocates nothing" test_telemetry_noop_allocates_nothing;
+    case "telemetry counter exact across domains"
+      test_telemetry_counter_exact_across_domains;
     case "telemetry disabled by default" test_telemetry_disabled_by_default;
   ]
