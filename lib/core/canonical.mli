@@ -6,12 +6,45 @@
     [compare_lex]-minimal member of the class (the paper's
     minimal-index matrix).
 
-    Exact algorithm: for each of the [q!] column orders, resolve the
-    per-row alphabet freedom by first-occurrence relabelling (the unique
-    lex-minimal relabelling of a row read left to right), then resolve
-    the row freedom by sorting rows lexicographically; take the minimum
-    over column orders. Cost [O(q! * p q log p)] — exact in the
-    enumerable regime ([q <= 8]). *)
+    Algorithm. The canonical form is the least, over the [q!] column
+    orders, of the candidate "relabel every row by first occurrence
+    (the unique lex-minimal relabelling of a row read left to right;
+    [Full] only), then sort the rows". Instead of trying every order, a
+    depth-first search over column positions visits only the orders
+    that can give the least candidate:
+
+    - {b Lead rows.} Row 0 of the canonical form is the least, over the
+      rows [r], of [r]'s own lex-minimal form [F(r)]. Under [Full],
+      [F(r)] writes labels [1, 2, ...] repeated by [r]'s value
+      multiplicities in descending order ([3 1 3 2 3] gives
+      [1 1 1 2 3]); under [Positional], it is [r] sorted. Only rows
+      whose [F(r)] is least can lead.
+    - {b Branching.} For a lead row [r], each position takes only the
+      columns that give [r] its smallest next label: under [Full], the
+      current value's label while its columns remain, otherwise a new
+      label for a value of largest remaining multiplicity; under
+      [Positional], the smallest remaining value. These paths are
+      exactly the orders under which [r] reads [F(r)], so they include
+      the optimum's order.
+    - {b Pruning.} Every complete path gives a candidate whose row 0 is
+      [F(r)], so the {e incumbent} (the best candidate found so far)
+      agrees with the optimum on row 0 and the contest is decided from
+      row 1. A path is cut as soon as fewer than two rows have a prefix
+      at or below the incumbent's row 1 on the positions placed: the
+      candidate's row 1 would exceed the incumbent's. The incumbent is
+      always a real candidate, so it is never below the canonical form,
+      and the optimum's path is never cut.
+    - {b Duplicates.} Columns that are equal in every row are
+      interchangeable, so they are taken in index order only; lead rows
+      that split the columns alike (equal after relabelling, or equal)
+      have the same paths and are searched once.
+
+    Each complete order is scored like any candidate (relabel, sort,
+    compare with the incumbent), and no order that could win is
+    skipped, so the result is the exact minimum. The worst case stays at
+    [q!] leaves: every row has [q] distinct values (every order is then
+    a path) and no two columns are equal. A random [(4,8,8)] matrix
+    takes a few dozen leaves. *)
 
 type variant =
   | Full
@@ -47,8 +80,9 @@ val workspace : p:int -> q:int -> max_value:int -> workspace
 val canonical_rows :
   workspace -> variant:variant -> int array array -> int array array
 (** [canonical_rows ws ~variant entries] is the canonical form of the
-    matrix given as raw rows, computed without per-call allocation and
-    with early-exit pruning over column permutations. The result is
+    matrix given as raw rows, computed by the pruned column-order
+    search above without allocating: all search state lives in [ws]
+    (tested to allocate under one minor word per call). The result is
     the workspace's internal buffer — valid only until the next call
     on [ws]; copy it to keep it. Rows of [entries] must have length
     [q] and values in [{1..max_value}]. *)

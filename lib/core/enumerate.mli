@@ -5,7 +5,9 @@
     The engine shards the [d^(pq)] digit space across OCaml domains
     ({!Umrs_graph.Parallel.map_ranges}): each shard canonicalizes its
     slice through a private {!Canonical.workspace} (allocation-free,
-    pruned) and deduplicates through a private table of bit-packed
+    pruned: the column-order search of {!Canonical}; under one minor
+    word per call, asserted in [test/test_enumerate_parallel.ml]) and
+    deduplicates through a private table of bit-packed
     {!Mkey} keys; the per-domain tables are merged and sorted at the
     end, so results are byte-identical for every domain count
     (tested). Only feasible for small parameters; this is the ground

@@ -51,7 +51,7 @@ let test_is_canonical () =
 
 let equiv_pair_arb =
   (* random_equivalent's alphabet moves require normalized rows *)
-  let matrix = Gen.matrix_normalized () in
+  let matrix = Gen.matrix_normalized ~max_q:8 ~max_d:8 () in
   Gen.make
     ~print:(fun (m, m') ->
       Printf.sprintf "%s ~ %s" (Matrix.to_string m) (Matrix.to_string m'))
@@ -92,8 +92,65 @@ let instance_arb =
       ( pool.(Random.State.int st (Array.length pool)),
         if Random.State.bool st then Canonical.Full else Canonical.Positional ))
 
+(* Definition 2 computed the slow way, independently of the workspace
+   search: over every column order, relabel each row by first
+   occurrence (Full only), sort the rows, keep the compare_lex
+   minimum. *)
+let oracle ~variant m =
+  let p, q = Matrix.dims m in
+  let best = ref None in
+  Umrs_graph.Perm.iter_all q (fun sigma ->
+      let rows =
+        Array.init p (fun i ->
+            let row = Array.init q (fun j -> Matrix.get m i sigma.(j)) in
+            match variant with
+            | Canonical.Full -> Canonical.normalize_row row
+            | Canonical.Positional -> row)
+      in
+      Array.sort compare rows;
+      let c = Matrix.create_relaxed rows in
+      match !best with
+      | Some b when Matrix.compare_lex b c <= 0 -> ()
+      | _ -> best := Some c);
+  Option.get !best
+
+let agrees_with_oracle m =
+  List.for_all
+    (fun variant -> Matrix.equal (Canonical.canonical ~variant m) (oracle ~variant m))
+    [ Canonical.Full; Canonical.Positional ]
+
+let test_oracle_exhaustive () =
+  List.iter
+    (fun (p, q, d) ->
+      Enumerate.iter_matrices ~p ~q ~d (fun m ->
+          if not (agrees_with_oracle m) then
+            Alcotest.failf "(%d,%d,%d): canonical differs from the definition on %s" p q d
+              (Matrix.to_string m)))
+    [ (2, 3, 3); (3, 3, 2); (2, 4, 3); (3, 2, 4) ]
+
+let test_oracle_edge_cases () =
+  let perm_rows =
+    (* every row a permutation of 1..8, so every column order is a path *)
+    [| [| 1; 2; 3; 4; 5; 6; 7; 8 |]; [| 8; 7; 6; 5; 4; 3; 2; 1 |];
+       [| 3; 1; 8; 6; 2; 7; 4; 5 |]; [| 6; 4; 2; 8; 1; 3; 5; 7 |] |]
+  in
+  List.iter
+    (fun (name, rows) ->
+      check_true name (agrees_with_oracle (Matrix.create_relaxed rows)))
+    [
+      ("constant 4x8", Array.make_matrix 4 8 3);
+      ("rows are permutations of 1..8", perm_rows);
+      ("all columns identical", Array.init 4 (fun i -> Array.make 8 (i + 1)));
+      ("one row", [| [| 4; 1; 4; 2; 7; 1; 4; 5 |] |]);
+      ("one column", [| [| 3 |]; [| 1 |]; [| 3 |]; [| 2 |] |]);
+    ]
+
 let suite =
   [
+    case "canonical = definition on every small matrix" test_oracle_exhaustive;
+    case "canonical = definition on edge cases" test_oracle_edge_cases;
+    Gen.prop ~count:100 "canonical = definition on seeded matrices up to 4x8"
+      (Gen.matrix ~max_q:8 ~max_d:8 ()) agrees_with_oracle;
     case "normalize_row" test_normalize_row;
     case "canonical (paper pair)" test_canonical_explicit;
     case "canonical uses column perms" test_canonical_uses_column_perm;

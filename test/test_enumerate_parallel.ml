@@ -161,6 +161,33 @@ let test_packed_key_rejects_out_of_range () =
        false
      with Invalid_argument _ -> true)
 
+(* The engine's hot path is documented as allocation-free: a warm
+   workspace must canonicalize without touching the minor heap. *)
+let test_canonical_rows_allocation_free () =
+  let st = rng () in
+  List.iter
+    (fun (p, q, d) ->
+      let entries = Gen.raw_entries st ~p ~q ~d in
+      let ws = Canonical.workspace ~p ~q ~max_value:d in
+      List.iter
+        (fun variant ->
+          ignore (Canonical.canonical_rows ws ~variant entries);
+          let calls = 10_000 in
+          let before = Gc.minor_words () in
+          for _ = 1 to calls do
+            ignore (Canonical.canonical_rows ws ~variant entries)
+          done;
+          let per_call = (Gc.minor_words () -. before) /. float_of_int calls in
+          check_true
+            (Printf.sprintf "(%d,%d,%d) %s: %.3f minor words per call" p q d
+               (match variant with
+               | Canonical.Full -> "full"
+               | Canonical.Positional -> "positional")
+               per_call)
+            (per_call < 1.0))
+        [ Canonical.Full; Canonical.Positional ])
+    [ (3, 4, 3); (4, 8, 8) ]
+
 let suite =
   [
     case "sequential = parallel (full group)" test_seq_vs_parallel_full;
@@ -174,6 +201,7 @@ let suite =
     case "packed keys: bytes fallback" test_packed_key_bytes_fallback;
     case "packed keys: shape in the key" test_packed_key_shape_disambiguation;
     case "packed keys: range checking" test_packed_key_rejects_out_of_range;
+    case "canonical_rows allocates nothing per call" test_canonical_rows_allocation_free;
     prop ~count:200 "workspace canonical = Canonical.canonical" arbitrary_matrix
       (fun m ->
         let p, q = Matrix.dims m in

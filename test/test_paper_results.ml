@@ -178,10 +178,12 @@ let test_spec_checklist () =
     (Spec.all ())
 
 
-let test_sampled_reconstruction () =
+(* (4,8,8) is the size the paper-pipeline benchmark samples, far past
+   what enumerating dM(p,q) reaches. *)
+let test_sampled_reconstruction ~samples ~p ~q ~d () =
   let st = rng () in
   let s =
-    Reconstruct.run_sampled st ~samples:8 ~p:3 ~q:4 ~d:3
+    Reconstruct.run_sampled st ~samples ~p ~q ~d
       ~scheme:Umrs_routing.Table_scheme.build ()
   in
   check_true "forced on samples" s.Reconstruct.s_all_forced;
@@ -205,7 +207,10 @@ let suite =
     case "sweep skips infeasible" test_sweep_skips_infeasible;
     case "global Omega(n^2) bound ([6])" test_global_bound;
     case "executable checklist (Spec.all)" test_spec_checklist;
-    case "sampled reconstruction at (3,4,3)" test_sampled_reconstruction;
+    case "sampled reconstruction at (3,4,3)"
+      (test_sampled_reconstruction ~samples:8 ~p:3 ~q:4 ~d:3);
+    case "sampled reconstruction at (4,8,8)"
+      (test_sampled_reconstruction ~samples:25 ~p:4 ~q:8 ~d:8);
     case "table rows cover all stretches" test_rows_cover_stretches;
     case "theorem row is tight" test_theorem_row;
     case "formulas monotone in n" test_formulas_monotone_in_n;
