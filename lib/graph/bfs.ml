@@ -24,6 +24,15 @@ let distances_with_parents g src =
 
 let distances g src = fst (distances_with_parents g src)
 
+let port_toward g dist v =
+  let deg = Graph.degree g v in
+  let rec find k =
+    if k > deg then invalid_arg "Bfs.port_toward: no neighbour is one hop closer"
+    else if dist.(Graph.neighbor g v ~port:k) = dist.(v) - 1 then k
+    else find (k + 1)
+  in
+  find 1
+
 let all_pairs g = Array.init (Graph.order g) (fun v -> distances g v)
 
 let dist g u v = (distances g u).(v)

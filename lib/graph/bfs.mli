@@ -14,6 +14,13 @@ val distances_with_parents : Graph.t -> Graph.vertex -> int array * int array
     source and unreachable vertices). Parents follow smallest-port-first
     tie-breaking. *)
 
+val port_toward : Graph.t -> int array -> Graph.vertex -> Graph.port
+(** [port_toward g dist v] is the smallest port at [v] leading to a
+    neighbour one hop closer, where [dist] holds hop distances to some
+    target. [v] must not be at distance 0: there no port qualifies
+    ([Invalid_argument]), or, where [-1] marks unreached vertices, a
+    wrong one does. *)
+
 val all_pairs : Graph.t -> int array array
 (** [all_pairs g] is the full distance matrix ([n] BFS runs). *)
 

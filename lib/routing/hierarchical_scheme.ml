@@ -32,17 +32,6 @@ let default_radius g =
   in
   search 1
 
-(* smallest port at [u] leading one hop closer to the vertex whose
-   distance array is [dist_to] *)
-let port_toward g dist_to u =
-  let deg = Graph.degree g u in
-  let rec find k =
-    if k > deg then assert false
-    else if dist_to.(Graph.neighbor g u ~port:k) = dist_to.(u) - 1 then k
-    else find (k + 1)
-  in
-  find 1
-
 let build ?radius g =
   if not (Graph.is_connected g) then
     invalid_arg "Hierarchical: need a connected graph";
@@ -59,7 +48,7 @@ let build ?radius g =
     Array.init n (fun v ->
         Array.init ncl (fun c ->
             if centers.(c) = v then 0
-            else port_toward g center_dist.(c) v))
+            else Bfs.port_toward g center_dist.(c) v))
   in
   (* ball entries: for each destination w, every router within distance
      2r of w stores a shortest-path port toward w. Phase-2 soundness:
@@ -70,7 +59,7 @@ let build ?radius g =
     let dist = Bfs.distances g w in
     for v = 0 to n - 1 do
       if v <> w && dist.(v) <= 2 * radius then
-        Hashtbl.replace ball.(v) w (port_toward g dist v)
+        Hashtbl.replace ball.(v) w (Bfs.port_toward g dist v)
     done
   done;
   let intra = ball in

@@ -1,0 +1,88 @@
+(** Landmark routing with stretch 3: the construction, router and bit
+    encoding shared by Cowen's landmark scheme ({!Landmark_scheme},
+    ["landmark-3"]) and Thorup–Zwick with [k = 2] ({!Tz_scheme},
+    ["tz-3"]).
+
+    The two schemes differ in two places only: how the landmark set [A]
+    is chosen, and which port a router stores toward each landmark (the
+    {!up} rule). Everything else is here. For a landmark set [A]:
+    - one BFS per landmark [ℓ] gives [d(·, ℓ)], a BFS tree (the
+      parents of {!Umrs_graph.Bfs.distances_with_parents}) and the port
+      {!up} picks at every other vertex;
+    - the home [p(v)] is the landmark nearest to [v], smallest index on
+      ties, and [d(v,A) = d(v, p(v))];
+    - the cluster table at [x] stores, for every destination [v] with
+      [0 < d(x,v) < d(v,A)], the smallest port one step closer to [v].
+      It is filled by one BFS out of each [v] bounded to radius
+      [d(v,A) - 1], reset in [O(|ball|)], so the tables cost
+      [O(Σ|C| + |A|·m)] to build rather than [Θ(n²)];
+    - in each landmark tree every vertex stores, per child arc in port
+      order, the DFS interval [lo, hi] of the child's subtree.
+
+    Routing [u -> v], header [(v, index of p(v), DFS number of v in
+    p(v)'s tree)], at each vertex [x]: deliver if [x = v]; else take
+    the cluster port if [x]'s table holds [v]; else descend into the
+    child whose interval contains [v] in [p(v)]'s tree; else take the
+    stored port toward [p(v)].
+
+    Stretch [<= 3]. A cluster port leads to a vertex closer to [v],
+    whose table holds [v] too, so a cluster hit is followed by a
+    shortest path. Without a hit at the source, [d(u,v) >= d(v,A)], and
+    the route climbs toward [p(v)] and descends its tree for at most
+    [d(u, p(v)) + d(p(v), v) <= d(u,v) + 2 d(v,A) <= 3 d(u,v)] hops;
+    a cluster hit on the way only shortens the tail. This needs only
+    that each stored port toward [ℓ] leads one step closer to [ℓ]. *)
+
+open Umrs_graph
+
+type up = Graph.t -> dist:int array -> parent:int array -> Graph.vertex -> Graph.port
+(** [up g ~dist ~parent v]: the port [v] stores toward the landmark whose
+    BFS gave [dist] and [parent] ([-1] at the landmark). It must lead
+    one step closer to the landmark. Never called at the landmark. *)
+
+type t
+
+val prepare : Graph.t -> landmarks:int array -> up:up -> t
+(** Precompute on a non-empty connected graph. [landmarks] must be
+    non-empty, strictly increasing and in range. *)
+
+val landmarks : t -> int array
+(** The landmark set [A], sorted ascending (a copy). *)
+
+val home : t -> Graph.vertex -> int
+(** Index into {!landmarks} of [p(v)]. *)
+
+val dist_to_landmarks : t -> Graph.vertex -> int
+(** [d(v, A)]; [0] iff [v] is a landmark. *)
+
+val bunch : t -> Graph.vertex -> int array
+(** [B(v) = { w ≠ v : d(v,w) < d(v,A) }], sorted. Recomputed by a fresh
+    bounded BFS, so tests can check the transpose
+    [w ∈ B(v) ⇔ v ∈ C(w)] against {!cluster_members}. *)
+
+val cluster_members : t -> Graph.vertex -> int array
+(** Destinations in [x]'s stored cluster table, sorted. *)
+
+val routing_function : t -> Routing_function.t
+
+val encode_vertex : t -> Graph.vertex -> Umrs_bitcode.Bitbuf.t
+(** [n] in delta code, [v] fixed-width, [|A|] in gamma, the port toward
+    each landmark (fixed-width, [0] at the landmark itself), the cluster
+    table as a gamma count plus [(destination, port)] pairs, and per
+    landmark tree a gamma count plus [(port, lo, hi)] per child. *)
+
+(** {1 Decoding} *)
+
+type decoded = {
+  dec_order : int;
+  dec_self : Graph.vertex;
+  dec_up_ports : int array;
+      (** per landmark: the stored port toward it, 0 at the landmark *)
+  dec_cluster : (Graph.vertex * Graph.port) array;
+  dec_children : (Graph.port * int * int) array array;
+      (** per landmark tree: (port, dfs lo, dfs hi) per child *)
+}
+
+val decode_vertex : Umrs_bitcode.Bitbuf.t -> degree:int -> decoded
+(** Inverse of {!encode_vertex} (round-trip tested): everything a router
+    stores is recoverable from its bits plus its degree. *)

@@ -8,20 +8,17 @@
     headers carry an [O(log n)]-bit address [(id, landmark index, DFS
     number in the landmark's BFS tree)].
 
-    Construction, for a landmark set [L]:
-    - every router stores a shortest-path port to each landmark;
+    Construction, for a landmark set [L] chosen by a {!strategy}:
+    - every router stores, toward each landmark, its smallest port one
+      step closer (Cowen's rule);
     - router [u] additionally stores a direct port for every [w] with
       [dist(u,w) < dist(w,L)] (the "cluster" entries);
     - every router stores, in each landmark's BFS tree, one DFS interval
       per child arc, enabling descent from the landmark to the target.
 
-    Routing [u -> v]: deliver if local; use the direct entry if [v] is
-    in the cluster table; descend if [v] is in a child interval of the
-    current vertex in [ℓ(v)]'s tree; otherwise forward toward [ℓ(v)].
-
-    Stretch [<= 3]: either [dist(u,v) < dist(v,L)] and the cluster entry
-    routes on a shortest path, or the route via [ℓ(v)] costs at most
-    [dist(u,v) + 2 dist(v, ℓ(v)) <= 3 dist(u,v)]. *)
+    Everything but the landmark choice and the first rule is shared with
+    {!Tz_scheme} through {!Landmark_core}, which states the routing rule
+    and the stretch-3 argument. *)
 
 open Umrs_graph
 
@@ -48,16 +45,13 @@ val cluster_sizes :
 
 (** {1 Decoding} *)
 
-type decoded = {
+type decoded = Landmark_core.decoded = {
   dec_order : int;
   dec_self : Graph.vertex;
-  dec_landmark_ports : int array;  (** one per landmark; 0 = self *)
+  dec_up_ports : int array;
   dec_cluster : (Graph.vertex * Graph.port) array;
   dec_children : (Graph.port * int * int) array array;
-      (** per landmark tree: (port, dfs lo, dfs hi) per child *)
 }
 
 val decode_vertex : Umrs_bitcode.Bitbuf.t -> degree:int -> decoded
-(** Inverse of the per-router encoding (round-trip tested): everything
-    a landmark router stores is recoverable from its bits plus its
-    degree. *)
+(** Inverse of the per-router encoding ({!Landmark_core.decode_vertex}). *)

@@ -1,24 +1,10 @@
 open Umrs_graph
-open Umrs_bitcode
 
 let default_rate n =
   if n < 1 then invalid_arg "Tz_scheme.default_rate";
   1.0 /. sqrt (float_of_int n)
 
-type data = {
-  graph : Graph.t;
-  landmark : int array;               (* the sampled set A, sorted *)
-  landmark_index : int array;         (* vertex -> index in [landmark], -1 *)
-  dist_to_a : int array;              (* d(v, A) per vertex *)
-  home : int array;                   (* vertex -> index of p(v), nearest
-                                         landmark, smallest id on ties *)
-  cluster : (int * int) array array;  (* cluster.(x) = sorted (dst, port):
-                                         destinations v with
-                                         d(x,v) < d(v,A) *)
-  trees : Tree_labels.t array;        (* BFS tree per landmark *)
-  up : int array array;               (* up.(i).(v) = port toward the
-                                         parent in tree i, 0 at the root *)
-}
+type data = Landmark_core.t
 
 let sample_landmarks ~seed ~rate n =
   let st = Random.State.make [| seed; n; 0x72A9 |] in
@@ -31,6 +17,13 @@ let sample_landmarks ~seed ~rate n =
   let picked = if !picked = [] then [ 0 ] else !picked in
   Array.of_list picked
 
+(* Thorup–Zwick's rule: the port to the parent in the landmark's BFS
+   tree. *)
+let up g ~dist:_ ~parent v =
+  match Graph.port_to g ~src:v ~dst:parent.(v) with
+  | Some k -> k
+  | None -> assert false
+
 let prepare ?(seed = 0x72) ?rate g =
   let n = Graph.order g in
   if n < 1 || not (Graph.is_connected g) then
@@ -38,190 +31,19 @@ let prepare ?(seed = 0x72) ?rate g =
   let rate =
     match rate with
     | Some r ->
-      if r <= 0.0 || r > 1.0 then invalid_arg "Tz_scheme: rate in (0,1]";
+      if not (r > 0.0 && r <= 1.0) then invalid_arg "Tz_scheme: rate in (0,1]";
       r
     | None -> default_rate n
   in
-  let landmark = sample_landmarks ~seed ~rate n in
-  let l = Array.length landmark in
-  let landmark_index = Array.make n (-1) in
-  Array.iteri (fun i v -> landmark_index.(v) <- i) landmark;
-  let ldist = Array.map (fun v -> Bfs.distances g v) landmark in
-  let dist_to_a =
-    Array.init n (fun v ->
-        Array.fold_left (fun acc d -> min acc d.(v)) max_int ldist)
-  in
-  let home =
-    Array.init n (fun v ->
-        let best = ref 0 in
-        for i = 1 to l - 1 do
-          if ldist.(i).(v) < ldist.(!best).(v) then best := i
-        done;
-        !best)
-  in
-  (* Cluster tables: x stores a shortest-path port for every destination
-     v with d(x,v) < d(v,A) — i.e. x ∈ C(v) in Thorup–Zwick notation,
-     equivalently v's bunch condition seen from x. Computed by one BFS
-     out of each destination v bounded by its landmark radius. *)
-  let cluster_lists = Array.make n [] in
-  for v = 0 to n - 1 do
-    let radius = dist_to_a.(v) in
-    if radius > 0 then begin
-      let dist = Array.make n (-1) in
-      let queue = Queue.create () in
-      dist.(v) <- 0;
-      Queue.add v queue;
-      while not (Queue.is_empty queue) do
-        let x = Queue.pop queue in
-        if dist.(x) < radius - 1 then
-          Array.iter
-            (fun y ->
-              if dist.(y) = -1 then begin
-                dist.(y) <- dist.(x) + 1;
-                Queue.add y queue
-              end)
-            (Graph.neighbors g x)
-      done;
-      for x = 0 to n - 1 do
-        if x <> v && dist.(x) >= 0 then begin
-          let deg = Graph.degree g x in
-          let rec find k =
-            if k > deg then assert false
-            else begin
-              let y = Graph.neighbor g x ~port:k in
-              if dist.(y) = dist.(x) - 1 then k else find (k + 1)
-            end
-          in
-          cluster_lists.(x) <- (v, find 1) :: cluster_lists.(x)
-        end
-      done
-    end
-  done;
-  let cluster =
-    Array.map
-      (fun entries ->
-        let a = Array.of_list entries in
-        Array.sort compare a;
-        a)
-      cluster_lists
-  in
-  let trees = Array.map (Tree_labels.of_bfs g) landmark in
-  let up = Array.map (Tree_labels.parent_ports g) trees in
-  { graph = g; landmark; landmark_index; dist_to_a; home; cluster; trees; up }
+  Landmark_core.prepare g ~landmarks:(sample_landmarks ~seed ~rate n) ~up
 
-let landmarks d = Array.copy d.landmark
-let home d v = d.home.(v)
-let dist_to_landmarks d v = d.dist_to_a.(v)
+let landmarks = Landmark_core.landmarks
+let home = Landmark_core.home
+let dist_to_landmarks = Landmark_core.dist_to_landmarks
+let bunch = Landmark_core.bunch
+let cluster_members = Landmark_core.cluster_members
 
-let cluster_members d x = Array.map fst d.cluster.(x)
-
-let bunch d v =
-  (* B(v) = { w : d(v,w) < d(v,A) } — exactly the set of vertices whose
-     cluster table stores v, by the TZ symmetry w ∈ B(v) ⇔ v ∈ C(w).
-     Recomputed from first principles (a bounded BFS out of v) so tests
-     can check that symmetry against the stored tables. *)
-  let g = d.graph in
-  let n = Graph.order g in
-  let radius = d.dist_to_a.(v) in
-  let acc = ref [] in
-  if radius > 0 then begin
-    let dist = Array.make n (-1) in
-    let queue = Queue.create () in
-    dist.(v) <- 0;
-    Queue.add v queue;
-    while not (Queue.is_empty queue) do
-      let x = Queue.pop queue in
-      if dist.(x) < radius - 1 then
-        Array.iter
-          (fun y ->
-            if dist.(y) = -1 then begin
-              dist.(y) <- dist.(x) + 1;
-              Queue.add y queue
-            end)
-          (Graph.neighbors g x)
-    done;
-    for w = n - 1 downto 0 do
-      if w <> v && dist.(w) >= 0 then acc := w :: !acc
-    done
-  end;
-  Array.of_list !acc
-
-let cluster_lookup d x dst =
-  let a = d.cluster.(x) in
-  let rec bin lo hi =
-    if lo > hi then None
-    else begin
-      let mid = (lo + hi) / 2 in
-      let w, p = a.(mid) in
-      if w = dst then Some p else if w < dst then bin (mid + 1) hi else bin lo (mid - 1)
-    end
-  in
-  bin 0 (Array.length a - 1)
-
-let routing_function d =
-  let g = d.graph in
-  let init _u v =
-    let li = d.home.(v) in
-    Routing_function.Packed [| v; li; d.trees.(li).Tree_labels.dfs_number.(v) |]
-  in
-  let port x h =
-    match h with
-    | Routing_function.Dest _ -> invalid_arg "tz: unexpected header"
-    | Routing_function.Packed [| v; li; dfs |] ->
-      if x = v then None
-      else begin
-        (* Tie-broken TZ decision: a cluster hit routes on a shortest
-           path (and keeps hitting, since d(x,v) only decreases);
-           otherwise walk v's home tree — down if v is below x, else up
-           toward the landmark p(v). *)
-        match cluster_lookup d x v with
-        | Some p -> Some p
-        | None ->
-          (match Tree_labels.child_port d.trees.(li) x ~dfs with
-          | Some p -> Some p
-          | None -> Some d.up.(li).(x))
-      end
-    | Routing_function.Packed _ -> invalid_arg "tz: malformed header"
-  in
-  { Routing_function.graph = g; init; port; next_header = (fun _ h -> h) }
-
-let encode_vertex d v =
-  let g = d.graph in
-  let n = Graph.order g in
-  let l = Array.length d.landmark in
-  let deg = Graph.degree g v in
-  let pwidth = Codes.ceil_log2 (max 2 deg) in
-  let vwidth = Codes.ceil_log2 (max 2 n) in
-  let buf = Bitbuf.create () in
-  Codes.write_delta buf n;
-  Codes.write_fixed buf v ~width:vwidth;
-  Codes.write_gamma buf (l + 1);
-  (* port toward the parent in each landmark tree (0 at the root) *)
-  for i = 0 to l - 1 do
-    Codes.write_fixed buf d.up.(i).(v) ~width:(pwidth + 1)
-  done;
-  (* cluster table *)
-  Codes.write_gamma buf (Array.length d.cluster.(v) + 1);
-  Array.iter
-    (fun (w, p) ->
-      Codes.write_fixed buf w ~width:vwidth;
-      Codes.write_fixed buf (p - 1) ~width:pwidth)
-    d.cluster.(v);
-  (* child intervals in each landmark tree *)
-  Array.iter
-    (fun tree ->
-      let row = tree.Tree_labels.children.(v) in
-      Codes.write_gamma buf (Array.length row + 1);
-      Array.iter
-        (fun (p, lo, hi) ->
-          Codes.write_fixed buf (p - 1) ~width:pwidth;
-          Codes.write_fixed buf lo ~width:vwidth;
-          Codes.write_fixed buf hi ~width:vwidth)
-        row)
-    d.trees;
-  buf
-
-type decoded = {
+type decoded = Landmark_core.decoded = {
   dec_order : int;
   dec_self : Graph.vertex;
   dec_up_ports : int array;
@@ -229,46 +51,16 @@ type decoded = {
   dec_children : (Graph.port * int * int) array array;
 }
 
-let decode_vertex buf ~degree =
-  let r = Bitbuf.reader buf in
-  let n = Codes.read_delta r in
-  let vwidth = Codes.ceil_log2 (max 2 n) in
-  let pwidth = Codes.ceil_log2 (max 2 degree) in
-  let self = Codes.read_fixed r ~width:vwidth in
-  let l = Codes.read_gamma r - 1 in
-  let up_ports = Array.init l (fun _ -> Codes.read_fixed r ~width:(pwidth + 1)) in
-  let csize = Codes.read_gamma r - 1 in
-  let cluster =
-    Array.init csize (fun _ ->
-        let w = Codes.read_fixed r ~width:vwidth in
-        let p = 1 + Codes.read_fixed r ~width:pwidth in
-        (w, p))
-  in
-  let children =
-    Array.init l (fun _ ->
-        let k = Codes.read_gamma r - 1 in
-        Array.init k (fun _ ->
-            let p = 1 + Codes.read_fixed r ~width:pwidth in
-            let lo = Codes.read_fixed r ~width:vwidth in
-            let hi = Codes.read_fixed r ~width:vwidth in
-            (p, lo, hi)))
-  in
-  {
-    dec_order = n;
-    dec_self = self;
-    dec_up_ports = up_ports;
-    dec_cluster = cluster;
-    dec_children = children;
-  }
+let decode_vertex = Landmark_core.decode_vertex
 
 let build ?seed ?rate g =
   let d = prepare ?seed ?rate g in
   {
-    Scheme.rf = routing_function d;
-    local_encoding = encode_vertex d;
+    Scheme.rf = Landmark_core.routing_function d;
+    local_encoding = Landmark_core.encode_vertex d;
     description =
       Printf.sprintf "Thorup-Zwick stretch-3, %d sampled landmarks"
-        (Array.length d.landmark);
+        (Array.length (landmarks d));
   }
 
 let scheme =
@@ -277,7 +69,3 @@ let scheme =
     stretch_bound = Some 3.0;
     build = (fun g -> build g);
   }
-
-let cluster_sizes ?seed ?rate g =
-  let d = prepare ?seed ?rate g in
-  Array.map Array.length d.cluster

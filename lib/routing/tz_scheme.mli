@@ -9,24 +9,18 @@
       (expected [sqrt n] landmarks);
     - [p(v)] is the landmark nearest to [v], smallest id on ties, and
       [d(v,A) = d(v, p(v))];
-    - the {e bunch} [B(v) = { w : d(v,w) < d(v,A) }];
+    - the {e bunch} [B(v) = { w : d(v,w) < d(v,A) }], excluding [v];
     - the {e cluster} table at [x] stores a shortest-path port for every
       destination [v] with [d(x,v) < d(v,A)]; by definition
       [w ∈ B(v) ⇔ v ∈ C(w)] (the tables and bunches are transposes);
     - every vertex also stores, per landmark BFS tree, its parent port
       and one DFS interval per child arc.
 
-    Routing [u -> v] (handshake-free, headers
-    [(v, index of p(v), DFS number of v in p(v)'s tree)]): deliver if
-    local; take the cluster port if [v] is in the table (it then stays
-    in every table en route — [d(x,v)] is strictly decreasing); else
-    descend into the child interval containing [v] in [p(v)]'s tree, or
-    go up toward [p(v)].
-
-    Stretch [<= 3]: a cluster hit at the source is a shortest path;
-    otherwise [d(u,v) >= d(v,A)] and the tree route costs at most
-    [d(u, p(v)) + d(p(v), v) <= d(u,v) + 2 d(v,A) <= 3 d(u,v)]
-    (switching into a cluster mid-route only shortens the tail). *)
+    Everything but the sample and the parent-port rule is shared with
+    {!Landmark_scheme} through {!Landmark_core}, which states the
+    routing rule (handshake-free: the header is
+    [(v, index of p(v), DFS number of v in p(v)'s tree)]) and the
+    stretch-3 argument. *)
 
 open Umrs_graph
 
@@ -53,36 +47,29 @@ val dist_to_landmarks : data -> Graph.vertex -> int
 (** [d(v, A)]; [0] iff [v] is a landmark. *)
 
 val bunch : data -> Graph.vertex -> int array
-(** [B(v) = { w : d(v,w) < d(v,A) }], sorted — recomputed directly from
-    distances, so tests can check the [w ∈ B(v) ⇔ v ∈ C(w)] transpose
-    property against {!cluster_members}. *)
+(** [B(v) = { w : d(v,w) < d(v,A) }] excluding [v], sorted — recomputed
+    by a fresh bounded BFS, so tests can check the
+    [w ∈ B(v) ⇔ v ∈ C(w)] transpose property against
+    {!cluster_members}. *)
 
 val cluster_members : data -> Graph.vertex -> int array
 (** Destinations in [x]'s stored cluster table
     [{ v : d(x,v) < d(v,A) }], sorted. *)
-
-val routing_function : data -> Routing_function.t
 
 val build : ?seed:int -> ?rate:float -> Graph.t -> Scheme.built
 
 val scheme : Scheme.t
 (** ["tz-3"] with default parameters; stretch bound 3. *)
 
-val cluster_sizes : ?seed:int -> ?rate:float -> Graph.t -> int array
-(** Per-vertex cluster-table sizes (the memory-dominant term). *)
-
 (** {1 Decoding} *)
 
-type decoded = {
+type decoded = Landmark_core.decoded = {
   dec_order : int;
   dec_self : Graph.vertex;
   dec_up_ports : int array;
-      (** per landmark tree: port toward the parent, 0 at the root *)
   dec_cluster : (Graph.vertex * Graph.port) array;
   dec_children : (Graph.port * int * int) array array;
-      (** per landmark tree: (port, dfs lo, dfs hi) per child *)
 }
 
 val decode_vertex : Umrs_bitcode.Bitbuf.t -> degree:int -> decoded
-(** Inverse of the per-router encoding (round-trip tested): everything
-    a TZ router stores is recoverable from its bits plus its degree. *)
+(** Inverse of the per-router encoding ({!Landmark_core.decode_vertex}). *)

@@ -94,18 +94,18 @@ let test_landmark_decode_roundtrip () =
     check_int "order" 16 d.Landmark_scheme.dec_order;
     check_int "self" v d.Landmark_scheme.dec_self;
     check_true "landmark ports present"
-      (Array.length d.Landmark_scheme.dec_landmark_ports > 0);
+      (Array.length d.Landmark_scheme.dec_up_ports > 0);
     (* ports in range *)
     Array.iter
       (fun p -> check_true "port range" (p >= 0 && p <= Graph.degree g v))
-      d.Landmark_scheme.dec_landmark_ports;
+      d.Landmark_scheme.dec_up_ports;
     Array.iter
       (fun (w, p) ->
         check_true "cluster entry range"
           (w >= 0 && w < 16 && p >= 1 && p <= Graph.degree g v))
       d.Landmark_scheme.dec_cluster;
     check_int "one child table per landmark"
-      (Array.length d.Landmark_scheme.dec_landmark_ports)
+      (Array.length d.Landmark_scheme.dec_up_ports)
       (Array.length d.Landmark_scheme.dec_children)
   done
 

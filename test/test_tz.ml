@@ -23,7 +23,10 @@ let test_extreme_rates () =
   let b1 = Tz_scheme.build ~rate:1e-9 g in
   check_true "rate~0 delivers" (Routing_function.delivers_all b1.Scheme.rf);
   check_true "rate~0 stretch <= 3"
-    (Routing_function.stretch_at_most b1.Scheme.rf ~num:3 ~den:1)
+    (Routing_function.stretch_at_most b1.Scheme.rf ~num:3 ~den:1);
+  check_true "NaN rate rejected"
+    (try ignore (Tz_scheme.build ~rate:Float.nan g); false
+     with Invalid_argument _ -> true)
 
 (* Differential stretch check vs BFS ground truth on 50+ seeded graphs
    across three families (stretch_at_most compares every routed pair
@@ -274,6 +277,126 @@ let test_stretch_dist_exact_vs_sampled () =
        (Stretch_dist.measure ~cutoff:10 ~pairs:200 b.Scheme.rf)
          .Stretch_dist.ds_exact)
 
+(* ---------- golden encodings ---------- *)
+
+(* One digest per configuration, over twelve graphs: the description,
+   every router's bit length and packed bits, and the path of 200
+   seeded routes. The constants were recorded from the two schemes'
+   separate implementations that preceded Landmark_core; a change to a
+   single stored bit, port or route fails here. *)
+let golden_graphs () =
+  (* the suite runs from _build/default/test under dune runtest and
+     from the repository root under dune exec *)
+  let fixture name =
+    Graph_io.load
+      ~path:(List.find Sys.file_exists
+               [ Filename.concat "../examples" name; Filename.concat "examples" name ])
+  in
+  let ba n m = Generators.barabasi_albert (Random.State.make [| n; m |]) ~n ~m in
+  [ fixture "as_ba64.graph"; fixture "as_ba48_dense.graph";
+    fixture "as_powerlaw72.graph";
+    ba 64 1; ba 64 2; ba 64 3; ba 256 1; ba 256 2; ba 256 3;
+    Generators.chung_lu (Random.State.make [| 256; 0xC1 |]) ~n:256 ~exponent:2.5;
+    Generators.petersen (); Generators.grid 5 7 ]
+
+let golden_digest graphs build =
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun g ->
+      let n = Graph.order g in
+      let b = build g in
+      Buffer.add_string buf b.Scheme.description;
+      for v = 0 to n - 1 do
+        let bits = b.Scheme.local_encoding v in
+        Buffer.add_string buf (string_of_int (Umrs_bitcode.Bitbuf.length bits));
+        Buffer.add_bytes buf (Umrs_bitcode.Bitbuf.to_bytes bits)
+      done;
+      let st = Random.State.make [| n; 200 |] in
+      for _ = 1 to 200 do
+        let u = Random.State.int st n in
+        let v = (u + 1 + Random.State.int st (n - 1)) mod n in
+        List.iter
+          (fun x -> Buffer.add_string buf (string_of_int x ^ ","))
+          (Routing_function.route b.Scheme.rf u v).Routing_function.path
+      done)
+    graphs;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let golden =
+  [
+    ("tz-3", (fun g -> Tz_scheme.build g), "8029be48f9935afab320c53ae05ede2a");
+    ( "tz-3 seed 7",
+      (fun g -> Tz_scheme.build ~seed:7 g),
+      "e82b697335df6efe784e25b420fdb62f" );
+    ( "tz-3 rate 1",
+      (fun g -> Tz_scheme.build ~rate:1.0 g),
+      "890b00326c4132c302cc5c14de3f1b06" );
+    ( "tz-3 rate 1e-9",
+      (fun g -> Tz_scheme.build ~rate:1e-9 g),
+      "9e821f8d1101f283d1141f689a95a7f5" );
+    ( "landmark-3",
+      (fun g -> Landmark_scheme.build g),
+      "94dcf1d2b5749249b202bfb677a2cd44" );
+    ( "landmark-3 one landmark",
+      (fun g -> Landmark_scheme.build ~landmarks:1 g),
+      "9bafb12e9bd281b21a30623db1e098a9" );
+    ( "landmark-3 high-degree",
+      (fun g -> Landmark_scheme.build ~strategy:Landmark_scheme.High_degree g),
+      "2d5491fcd9b60f354a1c77ac05950051" );
+    ( "landmark-3 k-center",
+      (fun g -> Landmark_scheme.build ~strategy:Landmark_scheme.K_center g),
+      "c31b8ba937b25e564c53cbd23e626cab" );
+  ]
+
+let test_golden_encodings () =
+  let graphs = golden_graphs () in
+  List.iter
+    (fun (name, build, expected) ->
+      Alcotest.(check string) name expected (golden_digest graphs build))
+    golden
+
+(* ---------- the shared core over any landmark set ---------- *)
+
+(* A graph and a non-empty landmark subset, drawn at a random rate so
+   the sets run from a single vertex to all of them. *)
+let graph_with_landmarks =
+  let graphs = Gen.connected_graph ~max_n:31 () in
+  let print (g, a) =
+    graphs.Gen.print g ^ "\nlandmarks: "
+    ^ String.concat " " (Array.to_list (Array.map string_of_int a))
+  in
+  Gen.make ~print (fun st ->
+      let g = graphs.Gen.gen st in
+      let n = Graph.order g in
+      let rate = Random.State.float st 1.0 in
+      match List.filter (fun _ -> Random.State.float st 1.0 < rate) (List.init n Fun.id) with
+      | [] -> (g, [| Random.State.int st n |])
+      | a -> (g, Array.of_list a))
+
+(* The two schemes' rules for the port toward a landmark: landmark-3's
+   smallest port one step closer, tz-3's port to the BFS-tree parent. *)
+let up_rules : Landmark_core.up list =
+  [ (fun g ~dist ~parent:_ v -> Bfs.port_toward g dist v);
+    (fun g ~dist:_ ~parent v -> Option.get (Graph.port_to g ~src:v ~dst:parent.(v))) ]
+
+(* Under both rules: delivery, stretch <= 3 against BFS distances, and
+   the transpose w ∈ B(v) ⇔ v ∈ C(w) between bunches and tables. *)
+let core_holds (g, landmarks) =
+  let vs = List.init (Graph.order g) Fun.id in
+  let mem a x = Array.exists (( = ) x) a in
+  List.for_all
+    (fun up ->
+      let d = Landmark_core.prepare g ~landmarks ~up in
+      let rf = Landmark_core.routing_function d in
+      Routing_function.delivers_all rf
+      && Routing_function.stretch_at_most rf ~num:3 ~den:1
+      && List.for_all
+           (fun v ->
+             let b = Landmark_core.bunch d v in
+             List.for_all (fun w -> mem b w = mem (Landmark_core.cluster_members d w) v) vs)
+           vs)
+    up_rules
+
 let suite =
   [
     case "delivers on petersen" test_delivers_petersen;
@@ -289,6 +412,9 @@ let suite =
     case "memory below landmark-3 on BA" test_memory_below_landmark_on_ba;
     case "stretch report quantiles ordered" test_stretch_report_quantiles;
     case "stretch distributions exact vs sampled" test_stretch_dist_exact_vs_sampled;
+    case "golden encodings and routes" test_golden_encodings;
+    Gen.prop ~count:2000 "core: stretch 3 and transposed tables, any landmark set"
+      graph_with_landmarks core_holds;
     prop ~count:30 "delivers within stretch 3 on random graphs"
       arbitrary_connected_graph (fun g ->
         Routing_function.stretch_at_most (Tz_scheme.build g).Scheme.rf ~num:3
