@@ -1,6 +1,6 @@
 (* Benchmark harness: regenerates every table and figure of the paper
-   (printed as report sections) and times the machinery with Bechamel
-   (one Test per experiment).
+   (printed as report sections) and times the machinery with
+   Umrs_bench.Harness (one bench per experiment).
 
    Sections (see DESIGN.md's experiment index):
      T1  Table 1     bound formulas + measured memory of real schemes
@@ -20,11 +20,14 @@
                      deadlock analysis via channel dependency graphs;
                      broadcast collectives
 
-   Pass --fast to shrink workloads, --no-timings to skip Bechamel. *)
+   Pass --fast to shrink workloads, --no-timings to skip the timings.
+   The E3 rows and the timings are saved as one umrs/bench/v1 report to
+   --json PATH (default BENCH_paper.json). *)
 
 open Umrs_graph
 open Umrs_routing
 open Umrs_core
+open Umrs_bench
 
 let pf fmt = Format.printf fmt
 
@@ -191,17 +194,7 @@ let report_example_sets () =
 (* E3: the enumeration engine, timed                                   *)
 (* ------------------------------------------------------------------ *)
 
-type enum_bench_row = {
-  eb_p : int;
-  eb_q : int;
-  eb_d : int;
-  eb_classes : int;
-  eb_seconds_seq : float;
-  eb_seconds_par : float;
-  eb_domains : int;
-}
-
-let enum_bench_rows : enum_bench_row list ref = ref []
+let enum_benches : Report.bench list ref = ref []
 
 let report_enumeration_engine ~fast () =
   section "E3. Enumeration engine: canonical_set wall times (seq vs sharded)";
@@ -210,11 +203,6 @@ let report_enumeration_engine ~fast () =
      to 1 on small machines and made seconds_par a second sequential
      measurement. *)
   let domains = Domain.recommended_domain_count () in
-  let wall f =
-    let t0 = Unix.gettimeofday () in
-    let x = f () in
-    (x, Unix.gettimeofday () -. t0)
-  in
   let instances =
     if fast then [ (2, 2, 3); (2, 3, 3); (3, 3, 2) ]
     else [ (2, 2, 3); (2, 3, 3); (3, 3, 2); (2, 2, 4); (2, 4, 3); (3, 4, 3) ]
@@ -224,10 +212,10 @@ let report_enumeration_engine ~fast () =
   List.iter
     (fun (p, q, d) ->
       let seq, t_seq =
-        wall (fun () -> Enumerate.canonical_set ~domains:1 ~p ~q ~d ())
+        Clock.time (fun () -> Enumerate.canonical_set ~domains:1 ~p ~q ~d ())
       in
       let par, t_par =
-        wall (fun () -> Enumerate.canonical_set ~domains ~p ~q ~d ())
+        Clock.time (fun () -> Enumerate.canonical_set ~domains ~p ~q ~d ())
       in
       assert (List.for_all2 Matrix.equal seq par);
       let classes = List.length seq in
@@ -237,11 +225,15 @@ let report_enumeration_engine ~fast () =
         Array.length
           (Parallel.chunks ~domains (Enumerate.checked_total ~p ~q ~d ()))
       in
-      enum_bench_rows :=
-        { eb_p = p; eb_q = q; eb_d = d; eb_classes = classes;
-          eb_seconds_seq = t_seq; eb_seconds_par = t_par;
-          eb_domains = used }
-        :: !enum_bench_rows;
+      enum_benches :=
+        { Report.b_name = Printf.sprintf "e3/(%d,%d,%d)" p q d;
+          b_iters = 1; b_warmup = 0; b_seconds = t_seq +. t_par;
+          b_metrics =
+            [ Report.metric ~unit_:"s" "seconds_seq" t_seq;
+              Report.metric ~unit_:"s" "seconds_par" t_par;
+              Report.metric "classes" (float_of_int classes);
+              Report.metric "domains_used" (float_of_int used) ] }
+        :: !enum_benches;
       pf "%-10s %10.0f %8d %12.4f %12.4f %8.2f@."
         (Printf.sprintf "(%d,%d,%d)" p q d)
         (Float.pow (float_of_int d) (float_of_int (p * q)))
@@ -249,25 +241,7 @@ let report_enumeration_engine ~fast () =
         (if t_par > 0.0 then t_seq /. t_par else Float.nan))
     instances;
   pf "@.sharded and sequential outputs verified identical on every row;@.";
-  pf "BENCH_enumerate.json records this table for cross-PR tracking.@."
-
-let write_enum_bench_json ~fast path =
-  let oc = open_out path in
-  let row r =
-    Printf.sprintf
-      "    {\"p\": %d, \"q\": %d, \"d\": %d, \"classes\": %d, \
-       \"seconds_seq\": %.6f, \"seconds_par\": %.6f, \"domains_used\": %d}"
-      r.eb_p r.eb_q r.eb_d r.eb_classes r.eb_seconds_seq r.eb_seconds_par
-      r.eb_domains
-  in
-  Printf.fprintf oc
-    "{\n  \"schema\": \"umrs/bench-enumerate/v2\",\n  \"mode\": \"%s\",\n\
-    \  \"recommended_domains\": %d,\n  \"instances\": [\n%s\n  ]\n}\n"
-    (if fast then "fast" else "full")
-    (Domain.recommended_domain_count ())
-    (String.concat ",\n" (List.rev_map row !enum_bench_rows));
-  close_out oc;
-  pf "@.enumeration benchmark written to %s@." path
+  pf "the paper report (--json) records this table as the e3/* benches.@."
 
 (* ------------------------------------------------------------------ *)
 (* E2: Equation 2, graphs of constraints                               *)
@@ -501,7 +475,8 @@ let report_ablation_balance ~fast () =
     (fun scheme ->
       let b = scheme.Scheme.build g in
       pf "  %-18s %s@." scheme.Scheme.name
-        (Umrs_graph.Stats.summary (Routing_function.stretch_ratios b.Scheme.rf)))
+        (Quantile.summary
+           (Quantile.of_array (Routing_function.stretch_ratios b.Scheme.rf))))
     [ Landmark_scheme.scheme; Spanner_scheme.scheme ~k:2;
       Hierarchical_scheme.scheme; Tree_cover_scheme.scheme ];
   pf "@.";
@@ -676,141 +651,77 @@ let report_extension_failures ~fast () =
   pf "model is static; recomputation cost is out of scope but measurable.@."
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel timings                                                    *)
+(* Timings                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let timing_tests ~fast =
-  let open Bechamel in
+let register_timings ~fast =
+  let budget =
+    { Harness.default_budget with max_seconds = (if fast then 0.05 else 0.25) }
+  in
+  let bench name f = Harness.register ~name ~budget (fun () -> ignore (f ())) in
   let st = Random.State.make [| 0x7E57 |] in
   let size = if fast then 12 else 24 in
   let g_corpus = Generators.random_connected st ~n:size ~m:(2 * size) in
   let petersen = Generators.petersen () in
   let m322 = Matrix.create [| [| 1; 2 |]; [| 1; 2 |] |] in
-  [
-    Test.make ~name:"table1/routing-tables"
-      (Staged.stage (fun () -> ignore (Table_scheme.build g_corpus)));
-    Test.make ~name:"table1/interval-dfs"
-      (Staged.stage (fun () -> ignore (Interval_routing.build g_corpus)));
-    Test.make ~name:"table1/landmark-3"
-      (Staged.stage (fun () -> ignore (Landmark_scheme.build g_corpus)));
-    Test.make ~name:"table1/spanner-3"
-      (Staged.stage (fun () -> ignore (Spanner_scheme.build ~k:2 g_corpus)));
-    Test.make ~name:"figure1/petersen-verify"
-      (Staged.stage (fun () -> ignore (Petersen.verify (Petersen.instance ()))));
-    Test.make ~name:"example/canonicalize"
-      (Staged.stage (fun () -> ignore (Canonical.canonical m322)));
-    Test.make ~name:"example/enumerate-3M22"
-      (Staged.stage (fun () ->
-           ignore (Enumerate.canonical_set ~p:2 ~q:2 ~d:3 ())));
-    Test.make ~name:"equation2/cgraph-build"
-      (Staged.stage (fun () -> ignore (Cgraph.of_matrix m322)));
-    Test.make ~name:"lemma1/exact-bound"
-      (Staged.stage (fun () -> ignore (Count.lemma1_bound ~p:3 ~q:3 ~d:4)));
-    Test.make ~name:"theorem1/reconstruct-223"
-      (Staged.stage (fun () ->
-           ignore
-             (Reconstruct.run_experiment ~p:2 ~q:2 ~d:3
-                ~scheme:Table_scheme.build ())));
-    Test.make ~name:"theorem1/bound-sweep"
-      (Staged.stage (fun () -> ignore (Lower_bound.theorem1 ~n:65536 ~eps:0.5)));
-    Test.make ~name:"kn/adversarial-encode"
-      (Staged.stage (fun () ->
-           ignore
-             (Specialized.build_complete_adversarial st
-                (Generators.complete 16))));
-    Test.make ~name:"upper/ecube-build"
-      (Staged.stage (fun () ->
-           ignore (Specialized.build_ecube (Generators.hypercube 6))));
-    Test.make ~name:"substrate/bfs-petersen"
-      (Staged.stage (fun () -> ignore (Bfs.all_pairs petersen)));
-    Test.make ~name:"substrate/simulate-all-pairs"
-      (Staged.stage (fun () ->
-           ignore (Simulator.all_pairs (Table_scheme.build petersen).Scheme.rf)));
-    Test.make ~name:"table1/hierarchical"
-      (Staged.stage (fun () -> ignore (Hierarchical_scheme.build g_corpus)));
-    Test.make ~name:"extension/weighted-tables"
-      (Staged.stage
-         (let w = Weighted.random (Random.State.make [| 9 |]) ~max_cost:9 g_corpus in
-          fun () -> ignore (Weighted_tables.build w)));
-    Test.make ~name:"example/burnside-full-888"
-      (Staged.stage (fun () -> ignore (Count.full_exact ~p:8 ~q:8 ~d:8)));
-    Test.make ~name:"upper/min-compactness-n8"
-      (Staged.stage
-         (let th = Generators.globe ~meridians:3 ~parallels:2 in
-          fun () -> ignore (Interval_routing.min_compactness_exhaustive th)));
-    Test.make ~name:"example/burnside-665"
-      (Staged.stage (fun () -> ignore (Count.positional_exact ~p:6 ~q:6 ~d:5)));
-    Test.make ~name:"example/orbit-333"
-      (Staged.stage
-         (let m = Matrix.create [| [| 1; 2; 3 |]; [| 1; 1; 2 |]; [| 1; 2; 1 |] |] in
-          fun () -> ignore (Orbit.size ~d:3 m)));
-    Test.make ~name:"substrate/hot-potato"
-      (Staged.stage
-         (let rf = (Table_scheme.build petersen).Scheme.rf in
-          let pairs = [ (0, 7); (1, 8); (2, 9); (3, 5) ] in
-          fun () ->
-            ignore
-              (Simulator.run_hot_potato (Random.State.make [| 4 |]) rf ~pairs)));
-    Test.make ~name:"upper/tree-cover-build"
-      (Staged.stage (fun () -> ignore (Tree_cover_scheme.build petersen)));
-    Test.make ~name:"extension/deadlock-check"
-      (Staged.stage
-         (let rf = (Table_scheme.build petersen).Scheme.rf in
-          fun () -> ignore (Deadlock.is_deadlock_free rf)));
-    Test.make ~name:"substrate/parallel-apsp"
-      (Staged.stage
-         (let big = Generators.torus 8 8 in
-          fun () -> ignore (Parallel.all_pairs ~domains:4 big)));
-    Test.make ~name:"upper/interval-optimize"
-      (Staged.stage (fun () ->
-           ignore
-             (Interval_routing.optimize_labelling ~steps:50
-                (Random.State.make [| 5 |])
-                petersen)));
-  ]
+  bench "table1/routing-tables" (fun () -> Table_scheme.build g_corpus);
+  bench "table1/interval-dfs" (fun () -> Interval_routing.build g_corpus);
+  bench "table1/landmark-3" (fun () -> Landmark_scheme.build g_corpus);
+  bench "table1/spanner-3" (fun () -> Spanner_scheme.build ~k:2 g_corpus);
+  bench "figure1/petersen-verify" (fun () ->
+      Petersen.verify (Petersen.instance ()));
+  bench "example/canonicalize" (fun () -> Canonical.canonical m322);
+  bench "example/enumerate-3M22" (fun () ->
+      Enumerate.canonical_set ~p:2 ~q:2 ~d:3 ());
+  bench "equation2/cgraph-build" (fun () -> Cgraph.of_matrix m322);
+  bench "lemma1/exact-bound" (fun () -> Count.lemma1_bound ~p:3 ~q:3 ~d:4);
+  bench "theorem1/reconstruct-223" (fun () ->
+      Reconstruct.run_experiment ~p:2 ~q:2 ~d:3 ~scheme:Table_scheme.build ());
+  bench "theorem1/bound-sweep" (fun () ->
+      Lower_bound.theorem1 ~n:65536 ~eps:0.5);
+  bench "kn/adversarial-encode" (fun () ->
+      Specialized.build_complete_adversarial st (Generators.complete 16));
+  bench "upper/ecube-build" (fun () ->
+      Specialized.build_ecube (Generators.hypercube 6));
+  bench "substrate/bfs-petersen" (fun () -> Bfs.all_pairs petersen);
+  bench "substrate/simulate-all-pairs" (fun () ->
+      Simulator.all_pairs (Table_scheme.build petersen).Scheme.rf);
+  bench "table1/hierarchical" (fun () -> Hierarchical_scheme.build g_corpus);
+  let w = Weighted.random (Random.State.make [| 9 |]) ~max_cost:9 g_corpus in
+  bench "extension/weighted-tables" (fun () -> Weighted_tables.build w);
+  bench "example/burnside-full-888" (fun () -> Count.full_exact ~p:8 ~q:8 ~d:8);
+  let globe = Generators.globe ~meridians:3 ~parallels:2 in
+  bench "upper/min-compactness-n8" (fun () ->
+      Interval_routing.min_compactness_exhaustive globe);
+  bench "example/burnside-665" (fun () ->
+      Count.positional_exact ~p:6 ~q:6 ~d:5);
+  let m333 = Matrix.create [| [| 1; 2; 3 |]; [| 1; 1; 2 |]; [| 1; 2; 1 |] |] in
+  bench "example/orbit-333" (fun () -> Orbit.size ~d:3 m333);
+  let petersen_rf = (Table_scheme.build petersen).Scheme.rf in
+  bench "substrate/hot-potato" (fun () ->
+      Simulator.run_hot_potato (Random.State.make [| 4 |]) petersen_rf
+        ~pairs:[ (0, 7); (1, 8); (2, 9); (3, 5) ]);
+  bench "upper/tree-cover-build" (fun () -> Tree_cover_scheme.build petersen);
+  bench "extension/deadlock-check" (fun () ->
+      Deadlock.is_deadlock_free petersen_rf);
+  let torus = Generators.torus 8 8 in
+  bench "substrate/parallel-apsp" (fun () ->
+      Parallel.all_pairs ~domains:4 torus);
+  bench "upper/interval-optimize" (fun () ->
+      Interval_routing.optimize_labelling ~steps:50 (Random.State.make [| 5 |])
+        petersen)
 
 let run_timings ~fast () =
-  section "Timings (Bechamel, monotonic clock, ns/run)";
-  let open Bechamel in
-  let open Toolkit in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let quota = Time.second (if fast then 0.05 else 0.25) in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota ~kde:None () in
-  let tests =
-    Test.make_grouped ~name:"umrs" ~fmt:"%s/%s" (timing_tests ~fast)
-  in
-  let raw = Benchmark.all cfg [ Instance.monotonic_clock ] tests in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows = Hashtbl.fold (fun name o acc -> (name, o) :: acc) results [] in
-  List.iter
-    (fun (name, o) ->
-      let ns =
-        match Analyze.OLS.estimates o with Some (x :: _) -> x | _ -> Float.nan
-      in
-      pf "%-44s %14.1f ns/run@." name ns)
-    (List.sort compare rows)
+  section "Timings (Umrs_bench.Harness, monotonic clock, p50 per run)";
+  register_timings ~fast;
+  (Harness.run_all ~suite:"paper" ()).Report.r_benches
 
 (* ------------------------------------------------------------------ *)
-
-let flag_value name =
-  let rec scan i =
-    if i >= Array.length Sys.argv - 1 then None
-    else if Sys.argv.(i) = name then Some Sys.argv.(i + 1)
-    else scan (i + 1)
-  in
-  scan 1
-
-let csv_path () = flag_value "--csv"
-
-let enum_json_path () =
-  Option.value (flag_value "--enum-json") ~default:"BENCH_enumerate.json"
 
 let () =
   let fast = Array.exists (( = ) "--fast") Sys.argv in
   let no_timings = Array.exists (( = ) "--no-timings") Sys.argv in
-  (match flag_value "--telemetry" with
+  (match Cli.flag "--telemetry" with
   | Some path -> Telemetry.open_file path
   | None -> ());
   pf "umrs benchmark harness - Fraigniaud & Gavoille (1996) reproduction@.";
@@ -834,14 +745,22 @@ let () =
   report_extension_failures ~fast ();
   report_extension_deadlock ();
   report_extension_collectives ~fast ();
-  (match csv_path () with
+  (match Cli.flag "--csv" with
   | Some path ->
     let oc = open_out path in
     output_string oc (Registry.to_csv (List.rev !csv_rows));
     close_out oc;
     pf "@.measured Table-1 columns written to %s@." path
   | None -> ());
-  write_enum_bench_json ~fast (enum_json_path ());
-  if not no_timings then run_timings ~fast ();
+  let timings = if no_timings then [] else run_timings ~fast () in
+  let path = Option.value (Cli.flag "--json") ~default:"BENCH_paper.json" in
+  Report.save ~path
+    (Report.make ~suite:"paper"
+       ~context:
+         [ ("mode", Json.Str (if fast then "fast" else "full"));
+           ("recommended_domains",
+            Json.Num (float_of_int (Domain.recommended_domain_count ()))) ]
+       (List.rev !enum_benches @ timings));
+  pf "@.paper report written to %s@." path;
   Telemetry.close ();
   pf "@.done.@."

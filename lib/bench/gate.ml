@@ -103,24 +103,12 @@ let verdict_label = function
   | Floor_skipped -> "floor-skip"
   | Missing_baseline -> "no-baseline"
 
-(* Values render in their unit's natural scale so the table is legible
-   at a glance: seconds in us/ms/s, rates and ratios as plain numbers. *)
-let show_value unit_ v =
-  if unit_ = "s" then begin
-    if Float.abs v < 0.001 then Printf.sprintf "%.1fus" (1e6 *. v)
-    else if Float.abs v < 1.0 then Printf.sprintf "%.2fms" (1e3 *. v)
-    else Printf.sprintf "%.3fs" v
-  end
-  else if Float.is_integer v && Float.abs v < 1e9 then
-    Printf.sprintf "%.0f%s" v (if unit_ = "" then "" else " " ^ unit_)
-  else Printf.sprintf "%.1f%s" v (if unit_ = "" then "" else " " ^ unit_)
-
 let row_cells row =
   [ row.g_bench; row.g_metric;
     (match row.g_base with
     | None -> "-"
-    | Some b -> show_value row.g_unit b);
-    show_value row.g_unit row.g_current;
+    | Some b -> Report.show_value row.g_unit b);
+    Report.show_value row.g_unit row.g_current;
     (match row.g_base with
     | None -> "-"
     | Some _ -> Printf.sprintf "%+.1f%%" row.g_delta_pct);

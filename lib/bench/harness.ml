@@ -34,11 +34,8 @@ let measure ?(budget = default_budget) f =
     spent := !spent +. dt;
     incr iters
   done;
-  let runs = Quantile.of_list !samples in
-  if Telemetry.enabled () then
-    Telemetry.emit "bench.run"
-      [ ("iters", Telemetry.Int !iters); ("seconds", Telemetry.Float !spent) ];
-  { runs; iters = !iters; warmup_done = budget.warmup; seconds = !spent }
+  { runs = Quantile.of_list !samples; iters = !iters;
+    warmup_done = budget.warmup; seconds = !spent }
 
 let bench_of_measured ~name ?items_per_iter ?(gate_time = true)
     ?(gate_rate = false) ?threshold ?(extra = []) m =
@@ -99,10 +96,11 @@ let run_all ~suite ?context () =
     List.map
       (fun e ->
         let b = e.e_run () in
-        Printf.printf "%s: %s: %d iter(s) in %.3fs%s\n%!" suite e.e_name
-          b.Report.b_iters b.Report.b_seconds
+        Printf.printf "%s: %s: %d iter(s) in %s%s\n%!" suite e.e_name
+          b.Report.b_iters
+          (Report.show_value "s" b.Report.b_seconds)
           (match Report.find_metric b "seconds_p50" with
-          | Some m -> Printf.sprintf ", p50 %.3fs" m.Report.m_value
+          | Some m -> ", p50 " ^ Report.show_value "s" m.Report.m_value
           | None -> "");
         b)
       !registry

@@ -14,10 +14,7 @@
       drive their own connection fleets and hand the harness the raw
       per-request latency samples plus the wall time, and get back the
       same bench record with rps + p50/p95/p99 computed by the shared
-      {!Quantile}.
-
-    Every run emits a [bench.run] telemetry event (guarded, so the
-    disabled path allocates nothing beyond the run itself). *)
+      {!Quantile}. *)
 
 type budget = {
   warmup : int;  (** untimed runs before measurement *)

@@ -63,7 +63,7 @@ let entry_of_line line =
       List.fold_right
         (fun (k, v) acc ->
           let* acc = acc in
-          let* v = Json.to_float v in
+          let* v = Json.to_num v in
           Some ((k, v) :: acc))
         metrics_j (Some [])
     in

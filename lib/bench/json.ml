@@ -27,9 +27,11 @@ let escape s =
 (* Readable numbers for committed report files: integers bare, reals
    with up to 9 fractional digits (nanosecond resolution for seconds
    values), trailing zeros trimmed. Falls back to %.17g when 9 digits
-   would collapse a nonzero value to zero. *)
+   would collapse a nonzero value to zero. JSON has no NaN or infinity,
+   so a non-finite number prints as null. *)
 let num_to_string v =
-  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
+  if not (Float.is_finite v) then "null"
+  else if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
   else begin
     let s = Printf.sprintf "%.9f" v in
     let s =
@@ -242,6 +244,7 @@ let parse s =
 
 let member k = function Obj kvs -> List.assoc_opt k kvs | _ -> None
 let to_float = function Num v -> Some v | _ -> None
+let to_num = function Null -> Some Float.nan | j -> to_float j
 
 let to_int = function
   | Num v when Float.is_integer v -> Some (int_of_float v)

@@ -19,7 +19,7 @@ val to_string : ?indent:int -> t -> string
 (** Render with [indent] spaces per level (default 2; 0 means one
     line). Integral [Num]s print without a decimal point; other numbers
     print with up to nanosecond-scale precision, trailing zeros
-    trimmed. *)
+    trimmed. A non-finite [Num] (NaN, infinity) prints as [null]. *)
 
 val parse : string -> (t, string) result
 (** Parse one JSON value; trailing garbage, truncation and malformed
@@ -30,6 +30,11 @@ val parse : string -> (t, string) result
 
 val member : string -> t -> t option
 val to_float : t -> float option
+
+val to_num : t -> float option
+(** Like {!to_float}, but reads [Null] as [nan]: the inverse of
+    {!to_string} for a number that may have been non-finite. *)
+
 val to_int : t -> int option
 val to_str : t -> string option
 val to_list : t -> t list option

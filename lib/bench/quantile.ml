@@ -23,3 +23,16 @@ let min t = t.(0)
 let max t = t.(Array.length t - 1)
 let total t = Array.fold_left ( +. ) 0. t
 let mean t = total t /. float_of_int (Array.length t)
+
+let summary t =
+  let n = Array.length t in
+  let m = mean t in
+  let sd =
+    if n = 1 then 0.
+    else
+      sqrt
+        (Array.fold_left (fun acc x -> acc +. ((x -. m) ** 2.)) 0. t
+        /. float_of_int (n - 1))
+  in
+  Printf.sprintf "n=%d mean=%.2f sd=%.2f min=%.2f p50=%.2f p99=%.2f max=%.2f"
+    n m sd (min t) (p50 t) (p99 t) (max t)

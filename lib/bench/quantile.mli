@@ -34,3 +34,8 @@ val max : t -> float
 val mean : t -> float
 val total : t -> float
 (** Sum of all samples. *)
+
+val summary : t -> string
+(** One line, [n=5 mean=3.00 sd=1.58 min=1.00 p50=3.00 p99=5.00
+    max=5.00]: the sample standard deviation has an [n - 1]
+    denominator (0 for one sample), the percentiles are {!value}'s. *)

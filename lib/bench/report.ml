@@ -67,6 +67,18 @@ let find_bench t name =
 let find_metric b name =
   List.find_opt (fun m -> m.m_name = name) b.b_metrics
 
+(* Values render in their unit's natural scale so a table is legible at
+   a glance: seconds in us/ms/s, rates and ratios as plain numbers. *)
+let show_value unit_ v =
+  if unit_ = "s" then begin
+    if Float.abs v < 0.001 then Printf.sprintf "%.1fus" (1e6 *. v)
+    else if Float.abs v < 1.0 then Printf.sprintf "%.2fms" (1e3 *. v)
+    else Printf.sprintf "%.3fs" v
+  end
+  else if Float.is_integer v && Float.abs v < 1e9 then
+    Printf.sprintf "%.0f%s" v (if unit_ = "" then "" else " " ^ unit_)
+  else Printf.sprintf "%.1f%s" v (if unit_ = "" then "" else " " ^ unit_)
+
 (* ---------- encoding ---------- *)
 
 let metric_to_json m =
@@ -107,7 +119,7 @@ let field j name conv ~what =
 
 let metric_of_json j =
   let* name = field j "name" Json.to_str ~what:"metric" in
-  let* value = field j "value" Json.to_float ~what:"metric" in
+  let* value = field j "value" Json.to_num ~what:"metric" in
   let* unit_ = field j "unit" Json.to_str ~what:"metric" in
   let* better_s = field j "better" Json.to_str ~what:"metric" in
   let* better =

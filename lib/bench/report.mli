@@ -80,8 +80,16 @@ val make :
 val find_bench : t -> string -> bench option
 val find_metric : bench -> string -> metric option
 
+val show_value : string -> float -> string
+(** [show_value unit_ v] renders a value in its unit's natural scale:
+    seconds (unit ["s"]) as [us], [ms] or [s], anything else as a plain
+    number followed by the unit. The one formatter for measured values
+    in gate tables and progress lines. *)
+
 val to_json : t -> Json.t
 val of_json : Json.t -> (t, string) result
+(** A metric value that is not finite is written as [null] and read
+    back as [nan]. *)
 
 val save : path:string -> t -> unit
 (** Write the pretty-printed report; truncates an existing file. *)

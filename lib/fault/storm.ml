@@ -23,6 +23,8 @@ module Fault = Umrs_fault.Fault
 module Wire = Umrs_server.Wire
 module Server = Umrs_server.Server
 module C = Umrs_client
+module Clock = Umrs_bench.Clock
+module Quantile = Umrs_bench.Quantile
 
 type level = {
   l_intensity : float;
@@ -37,13 +39,6 @@ type level = {
   l_recovery_p95 : float;
   l_seconds : float;
 }
-
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0.0
-  else
-    sorted.(max 0 (min (n - 1)
-                     (int_of_float (ceil (p /. 100. *. float_of_int n)) - 1)))
 
 let request ~records i =
   match i mod 7 with
@@ -100,7 +95,7 @@ let run_level ?(seed = 0x5EED42) ?(requests = 300) ?(conns = 2) ?(workers = 2)
           let conn = pool.(i mod conns) in
           let req = request ~records i in
           let before = C.Robust.stats conn in
-          let t0 = Unix.gettimeofday () in
+          let t0 = Clock.now_ns () in
           match C.Robust.call conn ~deadline_ms:2000 req with
           | Ok resp ->
             let after = C.Robust.stats conn in
@@ -111,16 +106,17 @@ let run_level ?(seed = 0x5EED42) ?(requests = 300) ?(conns = 2) ?(workers = 2)
             if not (shape_ok req resp) then incr failed
             else if retried then begin
               incr degraded;
-              samples := (Unix.gettimeofday () -. t0) :: !samples
+              samples := Clock.since_s t0 :: !samples
             end
             else incr success
           | Error (C.Refused _ | C.Overloaded | C.Timed_out) -> incr degraded
           | Error (C.Io _ | C.Protocol _) -> incr failed
         done
       in
-      let t0 = Unix.gettimeofday () in
-      let stormed = Fault.with_plan (Fault.seeded ~seed ~intensity ()) drive in
-      let seconds = Unix.gettimeofday () -. t0 in
+      let stormed, seconds =
+        Clock.time (fun () ->
+            Fault.with_plan (Fault.seeded ~seed ~intensity ()) drive)
+      in
       let opens, fastfails =
         Array.fold_left
           (fun (o, f) conn ->
@@ -150,8 +146,11 @@ let run_level ?(seed = 0x5EED42) ?(requests = 300) ?(conns = 2) ?(workers = 2)
       | Error (), _ -> Error "storm crashed (seeded plans never crash)"
       | _, Error e -> Error e
       | Ok (), Ok () ->
-        let sorted = Array.of_list !samples in
-        Array.sort compare sorted;
+        let recovery p =
+          match !samples with
+          | [] -> 0.0
+          | s -> Quantile.value (Quantile.of_list s) p
+        in
         Ok
           { l_intensity = intensity;
             l_requests = requests;
@@ -161,6 +160,6 @@ let run_level ?(seed = 0x5EED42) ?(requests = 300) ?(conns = 2) ?(workers = 2)
             l_worker_crashes = crashes;
             l_breaker_opens = opens;
             l_breaker_fastfails = fastfails;
-            l_recovery_p50 = percentile sorted 50.;
-            l_recovery_p95 = percentile sorted 95.;
+            l_recovery_p50 = recovery 50.;
+            l_recovery_p95 = recovery 95.;
             l_seconds = seconds }

@@ -85,7 +85,7 @@ val sampled_stretch :
 
 val stretch_ratios : ?dist:int array array -> t -> float array
 (** The per-pair ratio [dR/dG] for every ordered pair of distinct
-    vertices (row-major) — feed to {!Umrs_graph.Stats} for
+    vertices (row-major) — feed to {!Umrs_bench.Quantile} for
     distributional views of a scheme's stretch. *)
 
 val stretch_at_most : ?dist:int array array -> t -> num:int -> den:int -> bool

@@ -30,8 +30,11 @@ type packet = {
 type crossing = Cross | Retry | Drop
 
 (* Core engine. [on_cross u k] decides the fate of the packet that won
-   arc (u, port k) this round. *)
-let run_hooked ?round_limit ~on_cross rf ~pairs =
+   arc (u, port k) this round. Without [deflect], the packets that lost
+   arbitration queue for the next round; with it, each one in packet-id
+   order crosses a uniformly random out-arc no packet used this round,
+   and waits only when every out-arc is taken (hot-potato switching). *)
+let run_hooked ?round_limit ?deflect ~on_cross rf ~pairs =
   let g = rf.Routing_function.graph in
   let n = Graph.order g in
   let npackets = List.length pairs in
@@ -58,11 +61,6 @@ let run_hooked ?round_limit ~on_cross rf ~pairs =
   in
   let arc_key v port = (v * (Graph.max_degree g + 1)) + port in
   let loads = Hashtbl.create 64 in
-  let bump key =
-    let cur = Option.value ~default:0 (Hashtbl.find_opt loads key) in
-    Hashtbl.replace loads key (cur + 1);
-    cur + 1
-  in
   let max_queue = ref 0 in
   let max_arc_load = ref 0 in
   let in_flight = ref npackets in
@@ -80,9 +78,35 @@ let run_hooked ?round_limit ~on_cross rf ~pairs =
       | Some _ -> ()
     end
   in
+  let cross used p k =
+    let key = arc_key p.at k in
+    Hashtbl.replace used key ();
+    let load = 1 + Option.value ~default:0 (Hashtbl.find_opt loads key) in
+    Hashtbl.replace loads key load;
+    max_arc_load := max !max_arc_load load;
+    p.header <- rf.Routing_function.next_header p.at p.header;
+    p.at <- Graph.neighbor g p.at ~port:k;
+    p.p_hops <- p.p_hops + 1
+  in
+  let deflect_losers st used losers =
+    List.iter
+      (fun p ->
+        let free =
+          List.filter
+            (fun k -> not (Hashtbl.mem used (arc_key p.at k)))
+            (List.init (Graph.degree g p.at) (fun k -> k + 1))
+        in
+        match free with
+        | [] -> ()
+        | _ ->
+          cross used p
+            (List.nth free (Random.State.int st (List.length free))))
+      (List.sort (fun a b -> compare a.id b.id) losers)
+  in
   Array.iter try_deliver packets;
   while !in_flight > 0 && !round < limit do
     incr round;
+    let used = Hashtbl.create 64 in
     let requests = Hashtbl.create 64 in
     Array.iter
       (fun p ->
@@ -97,13 +121,15 @@ let run_hooked ?round_limit ~on_cross rf ~pairs =
             Hashtbl.replace requests key (p :: queue)
         end)
       packets;
+    let losers = ref [] in
     Hashtbl.iter
-      (fun key queue ->
+      (fun _ queue ->
         let queue = List.sort (fun a b -> compare a.id b.id) queue in
         max_queue := max !max_queue (List.length queue);
         match queue with
         | [] -> ()
-        | winner :: _ -> (
+        | winner :: rest -> (
+          if Option.is_some deflect then losers := rest @ !losers;
           match rf.Routing_function.port winner.at winner.header with
           | None -> assert false
           | Some k -> (
@@ -112,15 +138,9 @@ let run_hooked ?round_limit ~on_cross rf ~pairs =
             | Drop ->
               winner.done_at <- -2;
               decr in_flight
-            | Cross ->
-              let load = bump key in
-              max_arc_load := max !max_arc_load load;
-              let next = Graph.neighbor g winner.at ~port:k in
-              winner.header <-
-                rf.Routing_function.next_header winner.at winner.header;
-              winner.at <- next;
-              winner.p_hops <- winner.p_hops + 1)))
+            | Cross -> cross used winner k)))
       requests;
+    Option.iter (fun st -> deflect_losers st used !losers) deflect;
     Array.iter try_deliver packets
   done;
   let results =
@@ -181,134 +201,7 @@ let run_with_dead_links ?round_limit ~dead rf ~pairs =
   run_hooked ?round_limit ~on_cross rf ~pairs
 
 let run_hot_potato ?round_limit st rf ~pairs =
-  let g = rf.Routing_function.graph in
-  let n = Graph.order g in
-  let npackets = List.length pairs in
-  let limit =
-    match round_limit with
-    | Some l -> l
-    | None -> (16 * n) + (16 * npackets)
-  in
-  let packets =
-    List.mapi
-      (fun id (src, dst) ->
-        if src = dst then invalid_arg "Simulator: src = dst";
-        {
-          id;
-          p_src = src;
-          p_dst = dst;
-          at = src;
-          header = rf.Routing_function.init src dst;
-          p_hops = 0;
-          done_at = -1;
-        })
-      pairs
-    |> Array.of_list
-  in
-  let arc_key v port = (v * (Graph.max_degree g + 1)) + port in
-  let loads = Hashtbl.create 64 in
-  let max_queue = ref 0 in
-  let max_arc_load = ref 0 in
-  let in_flight = ref npackets in
-  let round = ref 0 in
-  let last_delivery = ref 0 in
-  let try_deliver p =
-    if p.done_at = -1 then begin
-      match rf.Routing_function.port p.at p.header with
-      | None ->
-        if p.at <> p.p_dst then
-          invalid_arg "Simulator: delivered at a wrong vertex";
-        p.done_at <- !round;
-        last_delivery := max !last_delivery !round;
-        decr in_flight
-      | Some _ -> ()
-    end
-  in
-  Array.iter try_deliver packets;
-  let cross used p k =
-    Hashtbl.replace used (arc_key p.at k) ();
-    let load =
-      1 + Option.value ~default:0 (Hashtbl.find_opt loads (arc_key p.at k))
-    in
-    Hashtbl.replace loads (arc_key p.at k) load;
-    max_arc_load := max !max_arc_load load;
-    let next = Graph.neighbor g p.at ~port:k in
-    p.header <- rf.Routing_function.next_header p.at p.header;
-    p.at <- next;
-    p.p_hops <- p.p_hops + 1
-  in
-  while !in_flight > 0 && !round < limit do
-    incr round;
-    let used = Hashtbl.create 64 in
-    let requests = Hashtbl.create 64 in
-    Array.iter
-      (fun p ->
-        if p.done_at = -1 then begin
-          match rf.Routing_function.port p.at p.header with
-          | None -> assert false
-          | Some k ->
-            let key = arc_key p.at k in
-            let queue =
-              Option.value ~default:[] (Hashtbl.find_opt requests key)
-            in
-            Hashtbl.replace requests key (p :: queue)
-        end)
-      packets;
-    (* preferred-arc winners cross first *)
-    let losers = ref [] in
-    Hashtbl.iter
-      (fun _ queue ->
-        let queue = List.sort (fun a b -> compare a.id b.id) queue in
-        max_queue := max !max_queue (List.length queue);
-        match queue with
-        | [] -> ()
-        | winner :: rest ->
-          (match rf.Routing_function.port winner.at winner.header with
-          | Some k -> cross used winner k
-          | None -> assert false);
-          losers := rest @ !losers)
-      requests;
-    (* losers deflect onto a random free out-arc, by packet id *)
-    let losers = List.sort (fun a b -> compare a.id b.id) !losers in
-    List.iter
-      (fun p ->
-        let deg = Graph.degree g p.at in
-        let free =
-          List.filter
-            (fun k -> not (Hashtbl.mem used (arc_key p.at k)))
-            (List.init deg (fun k -> k + 1))
-        in
-        match free with
-        | [] -> () (* fully blocked: wait a round *)
-        | _ ->
-          let k = List.nth free (Random.State.int st (List.length free)) in
-          cross used p k)
-      losers;
-    Array.iter try_deliver packets
-  done;
-  let results =
-    Array.map
-      (fun p ->
-        {
-          src = p.p_src;
-          dst = p.p_dst;
-          hops = p.p_hops;
-          delivered_at = (if p.done_at >= 0 then p.done_at else -1);
-        })
-      packets
-  in
-  {
-    packets = npackets;
-    delivered =
-      Array.fold_left
-        (fun acc p -> if p.done_at >= 0 then acc + 1 else acc)
-        0 packets;
-    rounds = !last_delivery;
-    total_hops = Array.fold_left (fun acc p -> acc + p.p_hops) 0 packets;
-    max_queue = !max_queue;
-    max_arc_load = !max_arc_load;
-    results;
-  }
+  run_hooked ?round_limit ~deflect:st ~on_cross:(fun _ _ -> Cross) rf ~pairs
 
 let all_pairs ?round_limit rf =
   let n = Graph.order rf.Routing_function.graph in
@@ -365,7 +258,8 @@ let delays s =
 
 let delay_summary s =
   let d = delays s in
-  if Array.length d = 0 then "(no deliveries)" else Stats.summary d
+  if Array.length d = 0 then "(no deliveries)"
+  else Umrs_bench.Quantile.(summary (of_array d))
 
 let pp_stats fmt s =
   Format.fprintf fmt

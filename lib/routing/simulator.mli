@@ -99,7 +99,7 @@ val delays : stats -> float array
 (** Delivery rounds of the delivered packets (empty if none). *)
 
 val delay_summary : stats -> string
-(** {!Umrs_graph.Stats.summary} of the delivery rounds, or
+(** {!Umrs_bench.Quantile.summary} of the delivery rounds, or
     ["(no deliveries)"]. *)
 
 val pp_stats : Format.formatter -> stats -> unit

@@ -562,7 +562,7 @@ let batch ?domains t requests =
   check_open t;
   let n = Array.length requests in
   Array.iteri (validate_request t) requests;
-  let t0 = Unix.gettimeofday () in
+  let t0 = Umrs_bench.Clock.now_ns () in
   let order = Array.init n Fun.id in
   let pos = Array.map (estimate_position t) requests in
   Array.sort
@@ -583,5 +583,5 @@ let batch ?domains t requests =
   if Telemetry.enabled () then
     Telemetry.emit "query.batch"
       [ ("requests", Telemetry.Int n);
-        ("seconds", Telemetry.Float (Unix.gettimeofday () -. t0)) ];
+        ("seconds", Telemetry.Float (Umrs_bench.Clock.since_s t0)) ];
   responses

@@ -1,3 +1,6 @@
+module Clock = Umrs_bench.Clock
+module Json = Umrs_bench.Json
+
 type value = Int of int | Float of float | Str of string | Bool of bool
 
 (* Atomic: worker domains bump the same counter concurrently, and a
@@ -5,75 +8,46 @@ type value = Int of int | Float of float | Str of string | Bool of bool
 type counter = { c_name : string; c_value : int Atomic.t }
 type gauge = { g_name : string; mutable g_value : float }
 
-type sink = { oc : out_channel; opened_at : float }
+type sink = { oc : out_channel; opened_at : int64 }
 
 let sink : sink option ref = ref None
 let lock = Mutex.create ()
 let counters : counter list ref = ref []
 let gauges : gauge list ref = ref []
-let epoch = ref nan
+
+(* Read at initialisation, not through [lazy]: in OCaml 5 two domains
+   forcing one lazy value at once raise. *)
+let epoch = Clock.now_ns ()
 
 let enabled () = !sink <> None
 
 let now () =
-  let base =
-    match !sink with
-    | Some s -> s.opened_at
-    | None ->
-      if Float.is_nan !epoch then epoch := Unix.gettimeofday ();
-      !epoch
-  in
-  Unix.gettimeofday () -. base
+  Clock.since_s (match !sink with Some s -> s.opened_at | None -> epoch)
 
-(* Minimal JSON string escaping: quotes, backslashes, control bytes.
-   Event names and field keys are code-controlled identifiers; values
-   may carry arbitrary strings (graph names, paths). *)
-let escape buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
-
-let add_value buf = function
-  | Int i -> Buffer.add_string buf (string_of_int i)
-  | Float f ->
-    if Float.is_finite f then Buffer.add_string buf (Printf.sprintf "%.9g" f)
-    else Buffer.add_string buf "null"
-  | Str s ->
-    Buffer.add_char buf '"';
-    escape buf s;
-    Buffer.add_char buf '"'
-  | Bool b -> Buffer.add_string buf (if b then "true" else "false")
+let json_of_value = function
+  | Int i -> Json.Num (float_of_int i)
+  | Float f -> Json.Num f
+  | Str s -> Json.Str s
+  | Bool b -> Json.Bool b
 
 let emit name fields =
   match !sink with
   | None -> ()
   | Some s ->
-    let buf = Buffer.create 128 in
-    Buffer.add_string buf (Printf.sprintf "{\"ts\": %.6f, \"event\": \"" (now ()));
-    escape buf name;
-    Buffer.add_string buf "\", \"fields\": {";
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_string buf ", ";
-        Buffer.add_char buf '"';
-        escape buf k;
-        Buffer.add_string buf "\": ";
-        add_value buf v)
-      fields;
-    Buffer.add_string buf "}}\n";
+    let line =
+      Json.to_string ~indent:0
+        (Json.Obj
+           [ ("ts", Json.Num (now ())); ("event", Json.Str name);
+             ("fields",
+              Json.Obj (List.map (fun (k, v) -> (k, json_of_value v)) fields))
+           ])
+    in
     Mutex.lock lock;
     Fun.protect
       ~finally:(fun () -> Mutex.unlock lock)
-      (fun () -> Buffer.output_buffer s.oc buf)
+      (fun () ->
+        output_string s.oc line;
+        output_char s.oc '\n')
 
 let counter name =
   match List.find_opt (fun c -> c.c_name = name) !counters with
@@ -126,7 +100,7 @@ let close () =
 let open_file path =
   close ();
   let oc = open_out path in
-  sink := Some { oc; opened_at = Unix.gettimeofday () }
+  sink := Some { oc; opened_at = Clock.now_ns () }
 
 let with_file path f =
   open_file path;
@@ -134,13 +108,12 @@ let with_file path f =
 
 let span name f =
   if enabled () then begin
-    let t0 = Unix.gettimeofday () in
+    let t0 = Clock.now_ns () in
     let finished = ref false in
     Fun.protect
       ~finally:(fun () ->
         emit name
-          [ ("seconds", Float (Unix.gettimeofday () -. t0));
-            ("ok", Bool !finished) ])
+          [ ("seconds", Float (Clock.since_s t0)); ("ok", Bool !finished) ])
       (fun () ->
         let x = f () in
         finished := true;

@@ -4,10 +4,17 @@
     Long enumeration and simulation runs are opaque while they execute;
     this module gives every layer a single cheap way to report progress
     and metrics without printing to the user's terminal. Events are
-    appended to a JSONL file, one object per line:
+    appended to a JSONL file, one object per line, printed by
+    {!Umrs_bench.Json}:
 
     {v {"ts": <seconds since sink open>, "event": "<name>",
         "fields": {"<key>": <int|float|string|bool>, ...}} v}
+
+    [ts] and {!span}'s [seconds] come from the monotonic
+    {!Umrs_bench.Clock}, so a wall-clock step never makes them jump or
+    run backwards. An [Int] field is written as a JSON number, exact
+    below 2{^53}, which covers every count the code emits; a non-finite
+    [Float] is written as [null].
 
     The schema is documented in DESIGN.md section 8 together with the
     event names each subsystem emits.
@@ -32,8 +39,8 @@ val emit : string -> (string * value) list -> unit
 (** Append one event line to the sink; no-op without a sink. *)
 
 val now : unit -> float
-(** Seconds since the sink was opened (or since the first call when no
-    sink is attached) — the value written to the [ts] field. *)
+(** Monotonic seconds since the sink was opened (or since program start
+    when no sink is attached) — the value written to the [ts] field. *)
 
 val open_file : string -> unit
 (** Attach a JSONL sink appending to the given path (truncates an
@@ -82,8 +89,9 @@ val flush_metrics : unit -> unit
 
 val span : string -> (unit -> 'a) -> 'a
 (** [span name f] runs [f]; with a sink attached it also emits [name]
-    with a [seconds] field measuring [f]'s wall time. Without a sink it
-    is exactly [f ()]. *)
+    with a [seconds] field measuring [f]'s elapsed monotonic time and an
+    [ok] field, false when [f] raised. Without a sink it is exactly
+    [f ()]. *)
 
 val reset_for_tests : unit -> unit
 (** Detach any sink and forget registered metrics. Test isolation

@@ -8,6 +8,8 @@
      and rejection of malformed input;
    - History: append-then-load, and tolerance of a corrupt or torn
      trailing line (skipped and counted, never fatal);
+   - non-finite metric values: written as null, read back as nan by
+     both Report and History;
    - Gate: every comparator verdict (pass, improved, regression,
      missing-baseline, tiny-timing floor, vanished bench, per-metric
      threshold override, custom config), then an end-to-end run: a
@@ -203,6 +205,51 @@ let history_append_load () =
   check_int "parsable lines kept" 3 (List.length es);
   check_int "corrupt lines counted" 2 skipped
 
+(* ---------- Non-finite values ---------- *)
+
+(* JSON has no NaN or infinity: the printer writes null, and a metric
+   value reads null back as nan, so a report or history line holding one
+   is neither rejected nor skipped as corrupt. *)
+let non_finite_round_trip () =
+  check_bool "printer writes null" true
+    (B.Json.to_string ~indent:0
+       (B.Json.Obj
+          [ ("a", B.Json.Num Float.nan); ("b", B.Json.Num Float.infinity);
+            ("c", B.Json.Num Float.neg_infinity) ])
+    = "{\"a\": null,\"b\": null,\"c\": null}");
+  let r =
+    mk_report
+      [ mk_bench "t/nf"
+          [ B.Report.metric "nan" Float.nan;
+            B.Report.metric "inf" Float.infinity ] ]
+  in
+  let all_nan values =
+    List.length values = 2 && List.for_all Float.is_nan values
+  in
+  let path = Filename.temp_file "umrs_bench_nf" ".json" in
+  let hist = Filename.temp_file "umrs_bench_nf" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun p -> try Sys.remove p with _ -> ()) [ path; hist ])
+  @@ fun () ->
+  B.Report.save ~path r;
+  (match B.Report.load ~path with
+  | Error e -> Alcotest.failf "report load: %s" e
+  | Ok r' ->
+    check_bool "report reads nan back" true
+      (all_nan
+         (List.concat_map
+            (fun b ->
+              List.map (fun m -> m.B.Report.m_value) b.B.Report.b_metrics)
+            r'.B.Report.r_benches)));
+  B.History.append ~path:hist r;
+  let es, skipped = B.History.load ~path:hist () in
+  check_int "history line not skipped" 0 skipped;
+  check_bool "history reads nan back" true
+    (match es with
+    | [ e ] -> all_nan (List.map snd e.B.History.h_metrics)
+    | _ -> false)
+
 (* ---------- Gate verdicts ---------- *)
 
 let sec ?threshold v = B.Report.metric ~unit_:"s" ~gated:true ?threshold "lat" v
@@ -393,6 +440,8 @@ let suite =
     Alcotest.test_case "report rejects malformed" `Quick report_rejects;
     Alcotest.test_case "history append/load + corrupt tail" `Quick
       history_append_load;
+    Alcotest.test_case "non-finite metrics round-trip" `Quick
+      non_finite_round_trip;
     Alcotest.test_case "gate verdicts" `Quick gate_verdicts;
     Alcotest.test_case "gate missing/vanished benches" `Quick
       gate_missing_and_vanished;

@@ -75,6 +75,71 @@ let test_permutation_traffic () =
     (Array.length sources
     = List.length (List.sort_uniq compare (Array.to_list sources)))
 
+(* Golden digest over every traffic mode: 3 schemes x 6 graphs x 5
+   seeds, each run's stats and per-packet results folded into one MD5.
+   Recorded before the round engines were merged; any change to
+   arbitration order, deflection or RNG consumption moves it. *)
+let golden_fingerprint (s : Simulator.stats) =
+  let b = Buffer.create 1024 in
+  Printf.bprintf b "%d %d %d %d %d %d|" s.Simulator.packets
+    s.Simulator.delivered s.Simulator.rounds s.Simulator.total_hops
+    s.Simulator.max_queue s.Simulator.max_arc_load;
+  Array.iter
+    (fun r ->
+      Printf.bprintf b "%d,%d,%d,%d;" r.Simulator.src r.Simulator.dst
+        r.Simulator.hops r.Simulator.delivered_at)
+    s.Simulator.results;
+  Buffer.contents b
+
+let golden_runs rf seed =
+  let st = Random.State.make [| 0x51; seed |] in
+  let g = rf.Routing_function.graph in
+  let n = Graph.order g in
+  let pairs =
+    List.init (3 * n) (fun _ ->
+        let u = Random.State.int st n in
+        (u, (u + 1 + Random.State.int st (n - 1)) mod n))
+  in
+  let dead = [ (0, Graph.neighbor g 0 ~port:1) ] in
+  List.map
+    (fun run ->
+      match run () with
+      | s -> golden_fingerprint s
+      | exception Invalid_argument msg -> "exn:" ^ msg)
+    [ (fun () -> Simulator.all_pairs rf);
+      (fun () -> Simulator.random_pairs st rf ~count:(2 * n));
+      (fun () -> Simulator.permutation_traffic st rf);
+      (fun () -> Simulator.run_flaky st ~loss:0.3 rf ~pairs);
+      (fun () -> Simulator.run_with_dead_links ~dead rf ~pairs);
+      (fun () -> Simulator.run_hot_potato st rf ~pairs);
+      (fun () -> Simulator.run_hot_potato ~round_limit:4 st rf ~pairs) ]
+
+let test_golden_digest () =
+  let graphs =
+    [ Generators.petersen (); Generators.torus 4 5; Generators.grid 4 4;
+      Generators.hypercube 4;
+      Generators.random_connected (Random.State.make [| 0x6A; 1 |]) ~n:14 ~m:24;
+      Generators.barabasi_albert (Random.State.make [| 0x6A; 2 |]) ~n:16 ~m:2 ]
+  in
+  let schemes =
+    [ Table_scheme.build; (fun g -> Interval_routing.build g);
+      (fun g -> Landmark_scheme.build g) ]
+  in
+  let b = Buffer.create 65536 in
+  List.iter
+    (fun build ->
+      List.iter
+        (fun g ->
+          let rf = (build g).Scheme.rf in
+          for seed = 1 to 5 do
+            List.iter (Buffer.add_string b) (golden_runs rf seed)
+          done)
+        graphs)
+    schemes;
+  Alcotest.(check string)
+    "digest" "c978715248551eb464d06ecd552ca5fc"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 let suite =
   [
     case "single packet" test_single_packet;
@@ -85,6 +150,7 @@ let suite =
     case "permutation traffic" test_permutation_traffic;
     case "round limit stops" test_round_limit_stops;
     case "delay >= hops under contention" test_delays_exceed_hops_under_contention;
+    case "golden digest over all traffic modes" test_golden_digest;
     prop ~count:25 "all-pairs total-exchange delivers everything"
       arbitrary_connected_graph (fun g ->
         let s = Simulator.all_pairs (tables g) in

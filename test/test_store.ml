@@ -341,25 +341,21 @@ let test_resume_demands_matching_instance () =
 
 (* ---------- telemetry ---------- *)
 
-(* Minimal JSONL event-line validator for the documented schema:
-   {"ts": <float>, "event": "<name>", "fields": {...}}. *)
-let valid_event_line line =
-  let starts_with pre s =
-    String.length s >= String.length pre
-    && String.sub s 0 (String.length pre) = pre
-  in
-  starts_with "{\"ts\": " line
-  && (let rest =
-        String.sub line 7 (String.length line - 7)
-      in
-      match String.index_opt rest ',' with
-      | None -> false
-      | Some i -> (
-        match float_of_string_opt (String.sub rest 0 i) with
-        | None -> false
-        | Some ts -> ts >= 0.0))
-  && String.length line >= 2
-  && line.[String.length line - 1] = '}'
+module J = Umrs_bench.Json
+
+(* The documented schema, checked by parsing: every line is one object
+   with exactly the keys ts, event and fields, and a finite ts >= 0.
+   Returns the event name and its fields. *)
+let parse_event_line line =
+  match J.parse line with
+  | Ok
+      (J.Obj
+        [ ("ts", J.Num ts); ("event", J.Str name); ("fields", J.Obj fields) ])
+    when Float.is_finite ts && ts >= 0.0 ->
+    Some (name, fields)
+  | _ -> None
+
+let valid_event_line line = parse_event_line line <> None
 
 let contains ~sub s =
   let n = String.length sub in
@@ -379,7 +375,10 @@ let test_telemetry_jsonl_schema () =
                 ~out:(Filename.concat dir "t.corpus")
                 ~checkpoint_dir:(Filename.concat dir "ck")
                 ~checkpoint_every:20 ());
-      ignore (Enumerate.canonical_set ~p:2 ~q:2 ~d:2 ()));
+      ignore (Enumerate.canonical_set ~p:2 ~q:2 ~d:2 ());
+      Telemetry.emit "odd.value" [ ("x", Telemetry.Float Float.nan) ];
+      check_int "span returns f's value" 42
+        (Telemetry.span "timed" (fun () -> 42)));
   let ic = open_in log in
   let lines = ref [] in
   (try
@@ -391,11 +390,7 @@ let test_telemetry_jsonl_schema () =
   check_true "events were written" (List.length lines >= 4);
   List.iter
     (fun line ->
-      check_true ("schema: " ^ line) (valid_event_line line);
-      check_true ("has event name: " ^ line)
-        (contains ~sub:"\"event\": \"" line);
-      check_true ("has fields: " ^ line)
-        (contains ~sub:"\"fields\": {" line))
+      check_true ("schema: " ^ line) (valid_event_line line))
     lines;
   check_true "build start logged"
     (List.exists (contains ~sub:"\"event\": \"corpus.build.start\"") lines);
@@ -410,7 +405,21 @@ let test_telemetry_jsonl_schema () =
          && contains ~sub:"\"widgets\": 42" l)
        lines);
   check_true "enumerate instrumented"
-    (List.exists (contains ~sub:"\"event\": \"enumerate.") lines)
+    (List.exists (contains ~sub:"\"event\": \"enumerate.") lines);
+  let fields_of event =
+    List.find_map
+      (fun line ->
+        match parse_event_line line with
+        | Some (name, fields) when name = event -> Some fields
+        | _ -> None)
+      lines
+  in
+  check_true "nan field reads back as null"
+    (fields_of "odd.value" = Some [ ("x", J.Null) ]);
+  check_true "span records its seconds and ok"
+    (match fields_of "timed" with
+    | Some [ ("seconds", J.Num s); ("ok", J.Bool true) ] -> s >= 0.0
+    | _ -> false)
 
 let test_telemetry_flush_mid_stream () =
   with_tmp_dir @@ fun dir ->
