@@ -28,7 +28,10 @@ let judge cfg (m : Report.metric) ~base =
     && Float.max base cur < cfg.floor_seconds
   in
   let verdict =
-    if floored then Floor_skipped
+    (* nan (a null read back from JSON) or inf compares false against
+       everything, so it would pass any bound: fail instead *)
+    if not (Float.is_finite base && Float.is_finite cur) then Regressed
+    else if floored then Floor_skipped
     else begin
       match m.Report.m_better with
       | Report.Higher ->

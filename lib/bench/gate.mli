@@ -6,7 +6,9 @@
     - [Pass] / [Improved] — within threshold, or better than baseline;
     - [Regressed] — worse than baseline by more than the threshold
       (the metric's own [m_threshold] if set, else the config default
-      of 25%) — this is what fails CI;
+      of 25%), or either value is not finite (a [null] read back as
+      nan, an infinite rate), which no bound can judge — this is what
+      fails CI;
     - [Floor_skipped] — a seconds-valued metric whose baseline and
       current values both sit under the absolute floor (default 5 ms):
       timings that small on a shared CI box are scheduler noise, and

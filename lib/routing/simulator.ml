@@ -59,7 +59,8 @@ let run_hooked ?round_limit ?deflect ~on_cross rf ~pairs =
       pairs
     |> Array.of_list
   in
-  let arc_key v port = (v * (Graph.max_degree g + 1)) + port in
+  let stride = Graph.max_degree g + 1 in
+  let arc_key v port = (v * stride) + port in
   let loads = Hashtbl.create 64 in
   let max_queue = ref 0 in
   let max_arc_load = ref 0 in
@@ -78,9 +79,12 @@ let run_hooked ?round_limit ?deflect ~on_cross rf ~pairs =
       | Some _ -> ()
     end
   in
-  let cross used p k =
+  (* arcs crossed this round; only the deflection step reads it *)
+  let deflecting = Option.is_some deflect in
+  let used = Hashtbl.create (if deflecting then 64 else 1) in
+  let cross p k =
     let key = arc_key p.at k in
-    Hashtbl.replace used key ();
+    if deflecting then Hashtbl.replace used key ();
     let load = 1 + Option.value ~default:0 (Hashtbl.find_opt loads key) in
     Hashtbl.replace loads key load;
     max_arc_load := max !max_arc_load load;
@@ -88,7 +92,7 @@ let run_hooked ?round_limit ?deflect ~on_cross rf ~pairs =
     p.at <- Graph.neighbor g p.at ~port:k;
     p.p_hops <- p.p_hops + 1
   in
-  let deflect_losers st used losers =
+  let deflect_losers st losers =
     List.iter
       (fun p ->
         let free =
@@ -99,14 +103,14 @@ let run_hooked ?round_limit ?deflect ~on_cross rf ~pairs =
         match free with
         | [] -> ()
         | _ ->
-          cross used p
+          cross p
             (List.nth free (Random.State.int st (List.length free))))
       (List.sort (fun a b -> compare a.id b.id) losers)
   in
   Array.iter try_deliver packets;
   while !in_flight > 0 && !round < limit do
     incr round;
-    let used = Hashtbl.create 64 in
+    if deflecting then Hashtbl.clear used;
     let requests = Hashtbl.create 64 in
     Array.iter
       (fun p ->
@@ -129,7 +133,7 @@ let run_hooked ?round_limit ?deflect ~on_cross rf ~pairs =
         match queue with
         | [] -> ()
         | winner :: rest -> (
-          if Option.is_some deflect then losers := rest @ !losers;
+          if deflecting then losers := rest @ !losers;
           match rf.Routing_function.port winner.at winner.header with
           | None -> assert false
           | Some k -> (
@@ -138,9 +142,9 @@ let run_hooked ?round_limit ?deflect ~on_cross rf ~pairs =
             | Drop ->
               winner.done_at <- -2;
               decr in_flight
-            | Cross -> cross used winner k)))
+            | Cross -> cross winner k)))
       requests;
-    Option.iter (fun st -> deflect_losers st used !losers) deflect;
+    Option.iter (fun st -> deflect_losers st !losers) deflect;
     Array.iter try_deliver packets
   done;
   let results =

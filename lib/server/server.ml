@@ -391,6 +391,10 @@ let handle_job srv query job =
     job.j_respond Wire.Timed_out
   end
   else begin
+    (* The event's [seconds] is a measurement: monotonic, read only with
+       a sink attached. [now]/[finished] serve the deadline alone. *)
+    let timed = Telemetry.enabled () in
+    let t0 = if timed then Umrs_bench.Clock.now_ns () else 0L in
     Umrs_fault.Io.worker_hook ();
     let outcome =
       (* A request the library layer refuses (out-of-range record, shape
@@ -417,10 +421,10 @@ let handle_job srv query job =
         outcome
       end
     in
-    if Telemetry.enabled () then
+    if timed then
       Telemetry.emit "server.request"
         [ ("op", Telemetry.Str (Wire.opcode_name (Wire.opcode job.j_req)));
-          ("seconds", Telemetry.Float (finished -. now));
+          ("seconds", Telemetry.Float (Umrs_bench.Clock.since_s t0));
           ("ok", Telemetry.Bool (match outcome with Wire.Reply _ -> true | _ -> false)) ];
     job.j_respond outcome
   end

@@ -302,6 +302,18 @@ let gate_verdicts () =
     find_row res "t/x" "lat"
   in
   check_bool "row reports the override" true (row.B.Gate.g_threshold = 1.0);
+  (* a non-finite value on either side (a saved null reads back as nan;
+     a zero-second rate is inf) cannot be judged: it fails the gate *)
+  List.iter
+    (fun (what, base, cur) ->
+      let v, ok = verdict_of base cur in
+      check_bool what true (is B.Gate.Regressed v && not ok))
+    [ ("nan baseline rate", rate Float.nan, rate 1000.);
+      ("nan current rate", rate 1000., rate Float.nan);
+      ("inf baseline rate", rate Float.infinity, rate 1000.);
+      ("inf current rate", rate 1000., rate Float.infinity);
+      ("nan baseline under floor", sec Float.nan, sec 0.001);
+      ("nan current seconds", sec 0.100, sec Float.nan) ];
   (* ungated metrics never produce rows *)
   let res =
     B.Gate.compare_reports
