@@ -81,7 +81,7 @@ let run_hooked ?round_limit ?deflect ~on_cross rf ~pairs =
   in
   (* arcs crossed this round; only the deflection step reads it *)
   let deflecting = Option.is_some deflect in
-  let used = Hashtbl.create (if deflecting then 64 else 1) in
+  let used = Hashtbl.create 64 in
   let cross p k =
     let key = arc_key p.at k in
     if deflecting then Hashtbl.replace used key ();
