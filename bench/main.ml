@@ -109,7 +109,7 @@ let report_table1_scaling ~fast () =
       let b = scheme.Scheme.build gbig in
       pf "  %-18s local=%6d bits  sampled stretch >= %.3f@."
         scheme.Scheme.name (Scheme.mem_local b)
-        (Routing_function.sampled_stretch stb b.Scheme.rf ~pairs:100))
+        (Stretch_dist.sampled ~seed:0xB16 ~pairs:100 b.Scheme.rf).Stretch_dist.ds_max)
     [ Table_scheme.scheme; Interval_routing.scheme; Landmark_scheme.scheme;
       Spanner_scheme.scheme ~k:2; Hierarchical_scheme.scheme ];
   pf "@.tables grow ~n log d; interval ~d log n; landmark/tree-cover grow@.";

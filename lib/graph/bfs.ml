@@ -1,39 +1,114 @@
 let infinity = max_int
 
-let distances_with_parents g src =
+(* One search's state, reused from search to search. Off the last
+   search's [queue.(0 .. reached-1)], [dist] is [infinity] and [parent]
+   [-1], so a reset rewrites only the vertices that search reached. The
+   arrays grow to the largest order searched; entries past a graph's
+   order are never written. *)
+type workspace = {
+  mutable dist : int array;
+  mutable parent : int array; (* [||] until a search asks for parents *)
+  mutable queue : int array;  (* the FIFO queue, and the visit order *)
+  mutable reached : int;
+  mutable parented : bool;    (* the last search wrote [parent] *)
+}
+
+let workspace () =
+  { dist = [||]; parent = [||]; queue = [||]; reached = 0; parented = false }
+
+(* Undo the last search's writes; the next one sets [reached] and
+   [parented] afresh. *)
+let reset ws =
+  let queue = ws.queue and dist = ws.dist in
+  for i = 0 to ws.reached - 1 do
+    dist.(queue.(i)) <- infinity
+  done;
+  if ws.parented then begin
+    let parent = ws.parent in
+    for i = 0 to ws.reached - 1 do
+      parent.(queue.(i)) <- -1
+    done
+  end
+
+(* After [reset]: every array is clean, so a grown one can start fresh. *)
+let reserve ws n ~parents =
+  if Array.length ws.dist < n then begin
+    ws.dist <- Array.make n infinity;
+    ws.queue <- Array.make n 0
+  end;
+  if parents && Array.length ws.parent < Array.length ws.dist then
+    ws.parent <- Array.make (Array.length ws.dist) (-1)
+
+let search ?(parents = false) ?(radius = infinity) ws g src =
   let n = Graph.order g in
   if src < 0 || src >= n then invalid_arg "Bfs: bad source";
-  let dist = Array.make n infinity in
-  let parent = Array.make n (-1) in
-  let queue = Queue.create () in
+  if radius < 1 then invalid_arg "Bfs.search: radius < 1";
+  reset ws;
+  reserve ws n ~parents;
+  let dist = ws.dist and parent = ws.parent and queue = ws.queue in
+  (* a vertex at distance [last] is reached but not expanded *)
+  let last = radius - 1 in
   dist.(src) <- 0;
-  Queue.add src queue;
-  while not (Queue.is_empty queue) do
-    let v = Queue.pop queue in
+  queue.(0) <- src;
+  let head = ref 0 and tail = ref 1 in
+  while !head < !tail do
+    let v = queue.(!head) in
+    incr head;
     let dv = dist.(v) in
-    Array.iter
-      (fun w ->
+    if dv < last then begin
+      let row = Graph.neighbors g v in
+      for k = 0 to Array.length row - 1 do
+        let w = row.(k) in
         if dist.(w) = infinity then begin
           dist.(w) <- dv + 1;
-          parent.(w) <- v;
-          Queue.add w queue
-        end)
-      (Graph.neighbors g v)
+          if parents then parent.(w) <- v;
+          queue.(!tail) <- w;
+          incr tail
+        end
+      done
+    end
   done;
-  (dist, parent)
+  ws.reached <- !tail;
+  ws.parented <- parents
 
-let distances g src = fst (distances_with_parents g src)
+let reached ws = ws.reached
+let visit_order ws = ws.queue
+let dist_array ws = ws.dist
+
+let parent_array ws =
+  if not ws.parented then invalid_arg "Bfs.parent_array: the last search kept no parents";
+  ws.parent
+
+(* A fresh workspace sizes its arrays to the graph's order exactly, so
+   a one-off search can hand them out as its result. *)
+let distances g src =
+  let ws = workspace () in
+  search ws g src;
+  ws.dist
+
+let distances_with_parents g src =
+  let ws = workspace () in
+  search ~parents:true ws g src;
+  (ws.dist, ws.parent)
 
 let port_toward g dist v =
-  let deg = Graph.degree g v in
+  let row = Graph.neighbors g v in
+  let closer = dist.(v) - 1 in
   let rec find k =
-    if k > deg then invalid_arg "Bfs.port_toward: no neighbour is one hop closer"
-    else if dist.(Graph.neighbor g v ~port:k) = dist.(v) - 1 then k
+    if k >= Array.length row then
+      invalid_arg "Bfs.port_toward: no neighbour is one hop closer"
+    else if dist.(row.(k)) = closer then k + 1
     else find (k + 1)
   in
-  find 1
+  find 0
 
-let all_pairs g = Array.init (Graph.order g) (fun v -> distances g v)
+let distances_with ws g src =
+  search ws g src;
+  Array.sub ws.dist 0 (Graph.order g)
+
+let all_pairs g =
+  let ws = workspace () in
+  Array.init (Graph.order g) (distances_with ws g)
 
 let dist g u v = (distances g u).(v)
 
@@ -45,16 +120,22 @@ let shortest_path g u v =
     Some (build [] v)
   end
 
-let eccentricity g v =
-  Array.fold_left max 0 (distances g v)
+(* The last vertex reached is a farthest one: the queue is in
+   nondecreasing distance order. *)
+let eccentricity_with ws g v =
+  search ws g v;
+  if ws.reached < Graph.order g then infinity else ws.dist.(ws.queue.(ws.reached - 1))
+
+let eccentricity g v = eccentricity_with (workspace ()) g v
 
 let extreme_eccentricity ~better g =
   let n = Graph.order g in
   if n = 0 then (0, 0)
   else begin
-    let best_v = ref 0 and best_e = ref (eccentricity g 0) in
+    let ws = workspace () in
+    let best_v = ref 0 and best_e = ref (eccentricity_with ws g 0) in
     for v = 1 to n - 1 do
-      let e = eccentricity g v in
+      let e = eccentricity_with ws g v in
       if better e !best_e then begin
         best_v := v;
         best_e := e
@@ -87,22 +168,21 @@ let bfs_tree g src =
   in
   Graph.of_adjacency adj
 
+(* Dynamic programming over the vertices in visit order, which is
+   nondecreasing in distance from [u]. *)
 let count_shortest_paths g u v =
-  let dist = distances g u in
+  let ws = workspace () in
+  search ws g u;
+  let dist = ws.dist in
   if dist.(v) = infinity then 0
   else begin
-    (* Count by dynamic programming over vertices sorted by distance. *)
-    let n = Graph.order g in
-    let order = Array.init n (fun i -> i) in
-    Array.sort (fun a b -> compare dist.(a) dist.(b)) order;
-    let count = Array.make n 0 in
+    let count = Array.make (Graph.order g) 0 in
     count.(u) <- 1;
-    Array.iter
-      (fun x ->
-        if count.(x) > 0 then
-          Array.iter
-            (fun w -> if dist.(w) = dist.(x) + 1 then count.(w) <- count.(w) + count.(x))
-            (Graph.neighbors g x))
-      order;
+    for i = 0 to ws.reached - 1 do
+      let x = ws.queue.(i) in
+      Array.iter
+        (fun w -> if dist.(w) = dist.(x) + 1 then count.(w) <- count.(w) + count.(x))
+        (Graph.neighbors g x)
+    done;
     count.(v)
   end

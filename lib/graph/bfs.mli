@@ -1,18 +1,72 @@
 (** Breadth-first search, distances, and shortest paths.
 
     All distances are hop counts (uniform arc costs, as in the paper).
-    Unreachable vertices get distance [infinity = max_int]. *)
+    Unreachable vertices get distance [infinity = max_int].
+
+    Every search in this module runs one kernel ({!search}): an
+    array-backed FIFO queue that reads the graph's own adjacency rows
+    ({!Graph.neighbors}) in port order, so it allocates nothing per
+    vertex or arc. Parents are the first discoverer in port order. *)
 
 val infinity : int
 (** Distance of unreachable vertices ([max_int]). *)
+
+(** {1 The kernel} *)
+
+type workspace
+(** Reusable state for one search at a time: a distance array, an
+    optional parent array and the queue. Callers that run many BFSs
+    reuse one workspace; a warm search allocates nothing. Starting a
+    search first resets what the previous one wrote, which costs
+    O(vertices it reached), not O(n), so many small bounded searches
+    stay cheap on a large graph. The arrays grow to the largest order
+    searched, so one workspace serves graphs of any order. A workspace
+    is single-threaded: share nothing across domains. *)
+
+val workspace : unit -> workspace
+(** An empty workspace; the first search sizes it. *)
+
+val search :
+  ?parents:bool -> ?radius:int -> workspace -> Graph.t -> Graph.vertex -> unit
+(** [search ws g src] runs a BFS from [src] on [ws], replacing the
+    previous search's results. With [~parents:true] it also records
+    each vertex's BFS parent. With [~radius] ([>= 1]) it reaches
+    exactly the vertices at distance [< radius], expanding none at
+    distance [radius - 1]. Raises [Invalid_argument] on a bad source or
+    radius. *)
+
+val reached : workspace -> int
+(** How many vertices the last search reached. *)
+
+val visit_order : workspace -> int array
+(** The last search's queue: its first {!reached} entries are the
+    vertices it reached in visit order, [src] first, distances
+    nondecreasing. Shared, valid until the next search; do not mutate
+    it. *)
+
+val dist_array : workspace -> int array
+(** The last search's distances, [infinity] at every vertex it did not
+    reach. Shared, valid until the next search; do not mutate it. Its
+    length is at least the graph's order. *)
+
+val parent_array : workspace -> int array
+(** The last search's BFS parents, [-1] at the source and at every
+    vertex it did not reach. Shared like {!dist_array}. Raises
+    [Invalid_argument] unless that search ran with [~parents:true]. *)
+
+val distances_with : workspace -> Graph.t -> Graph.vertex -> int array
+(** [distances_with ws g src] is [distances g src] computed on [ws]: a
+    fresh array of length [order g], but no queue allocated. *)
+
+(** {1 One-off searches} *)
 
 val distances : Graph.t -> Graph.vertex -> int array
 (** [distances g src] is the array of hop distances from [src]. *)
 
 val distances_with_parents : Graph.t -> Graph.vertex -> int array * int array
 (** As [distances], also returning a BFS parent array ([-1] for the
-    source and unreachable vertices). Parents follow smallest-port-first
-    tie-breaking. *)
+    source and unreachable vertices). A vertex's parent is its first
+    discoverer, ports scanned in order. *)
 
 val port_toward : Graph.t -> int array -> Graph.vertex -> Graph.port
 (** [port_toward g dist v] is the smallest port at [v] leading to a
@@ -22,7 +76,8 @@ val port_toward : Graph.t -> int array -> Graph.vertex -> Graph.port
     wrong one does. *)
 
 val all_pairs : Graph.t -> int array array
-(** [all_pairs g] is the full distance matrix ([n] BFS runs). *)
+(** [all_pairs g] is the full distance matrix ([n] BFS runs on one
+    workspace). *)
 
 val dist : Graph.t -> Graph.vertex -> Graph.vertex -> int
 (** One-off distance query (runs a BFS). *)

@@ -68,7 +68,7 @@ let neighbor g v ~port =
   if port < 1 || port > degree g v then invalid_arg "Graph.neighbor: bad port";
   g.adj.(v).(port - 1)
 
-let neighbors g v = Array.copy g.adj.(v)
+let neighbors g v = g.adj.(v)
 
 let port_to g ~src ~dst =
   let row = g.adj.(src) in

@@ -46,7 +46,10 @@ val neighbor : t -> vertex -> port:port -> vertex
     Raises [Invalid_argument] if [port] is not in [1 .. degree g v]. *)
 
 val neighbors : t -> vertex -> vertex array
-(** Fresh array of the neighbours of [v], in port order. *)
+(** The neighbours of [v] in port order: the graph's own adjacency row,
+    shared, not a copy. Do not mutate it; copy it first to sort or
+    edit. Reading it in place is what keeps a BFS from allocating per
+    vertex. *)
 
 val port_to : t -> src:vertex -> dst:vertex -> port option
 (** The local port of [src] whose arc leads to [dst], if adjacent. *)

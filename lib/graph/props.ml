@@ -17,26 +17,20 @@ let degree_histogram g =
   List.sort compare (Hashtbl.fold (fun d c acc -> (d, c) :: acc) tbl [])
 
 let girth g =
-  (* BFS from every vertex; a non-tree arc closing at depth levels d and
-     d' gives a cycle of length d + d' + 1. *)
+  (* BFS from every vertex; an arc that is not a BFS-tree arc, closing
+     at depths d and d', gives a cycle of length d + d' + 1. *)
   let n = Graph.order g in
+  let ws = Bfs.workspace () in
   let best = ref max_int in
   for src = 0 to n - 1 do
-    let dist = Array.make n (-1) in
-    let parent = Array.make n (-1) in
-    let queue = Queue.create () in
-    dist.(src) <- 0;
-    Queue.add src queue;
-    while not (Queue.is_empty queue) do
-      let v = Queue.pop queue in
+    Bfs.search ~parents:true ws g src;
+    let dist = Bfs.dist_array ws and parent = Bfs.parent_array ws in
+    let order = Bfs.visit_order ws in
+    for i = 0 to Bfs.reached ws - 1 do
+      let v = order.(i) in
       Array.iter
         (fun w ->
-          if dist.(w) = -1 then begin
-            dist.(w) <- dist.(v) + 1;
-            parent.(w) <- v;
-            Queue.add w queue
-          end
-          else if parent.(v) <> w && w <> v then
+          if parent.(w) <> v && parent.(v) <> w then
             best := min !best (dist.(v) + dist.(w) + 1))
         (Graph.neighbors g v)
     done
@@ -44,27 +38,22 @@ let girth g =
   if !best = max_int then None else Some !best
 
 let is_bipartite g =
+  (* colour each component by BFS depth parity; bipartite iff no edge
+     joins two vertices of one colour *)
   let n = Graph.order g in
   let color = Array.make n (-1) in
-  let ok = ref true in
+  let ws = Bfs.workspace () in
   for src = 0 to n - 1 do
     if color.(src) = -1 then begin
-      color.(src) <- 0;
-      let queue = Queue.create () in
-      Queue.add src queue;
-      while not (Queue.is_empty queue) do
-        let v = Queue.pop queue in
-        Array.iter
-          (fun w ->
-            if color.(w) = -1 then begin
-              color.(w) <- 1 - color.(v);
-              Queue.add w queue
-            end
-            else if color.(w) = color.(v) then ok := false)
-          (Graph.neighbors g v)
+      Bfs.search ws g src;
+      let dist = Bfs.dist_array ws and order = Bfs.visit_order ws in
+      for i = 0 to Bfs.reached ws - 1 do
+        color.(order.(i)) <- dist.(order.(i)) land 1
       done
     end
   done;
+  let ok = ref true in
+  Graph.iter_arcs g (fun u _ w -> if color.(u) = color.(w) then ok := false);
   !ok
 
 let average_degree g =

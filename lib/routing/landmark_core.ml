@@ -19,36 +19,6 @@ type t = {
   trees : tree array;                 (* one per landmark *)
 }
 
-(* A bounded BFS that reuses its arrays: [dist] is -1 off the last ball,
-   and [queue.(0 .. size-1)] lists the ball, so a reset costs O(|ball|). *)
-type ball = { dist : int array; queue : int array; mutable size : int }
-
-let new_ball n = { dist = Array.make n (-1); queue = Array.make n 0; size = 0 }
-
-(* The vertices at distance < radius from src, src first (radius >= 1). *)
-let fill_ball g b src ~radius =
-  for i = 0 to b.size - 1 do
-    b.dist.(b.queue.(i)) <- -1
-  done;
-  b.dist.(src) <- 0;
-  b.queue.(0) <- src;
-  b.size <- 1;
-  let head = ref 0 in
-  while !head < b.size do
-    let x = b.queue.(!head) in
-    incr head;
-    let dx = b.dist.(x) in
-    if dx < radius - 1 then
-      for k = 1 to Graph.degree g x do
-        let y = Graph.neighbor g x ~port:k in
-        if b.dist.(y) < 0 then begin
-          b.dist.(y) <- dx + 1;
-          b.queue.(b.size) <- y;
-          b.size <- b.size + 1
-        end
-      done
-  done
-
 (* BFS tree of [root], DFS numbered with children in port order: a
    vertex y on port k of x is a child of x iff parent.(y) = x. *)
 let tree g ~up ~dist ~parent root =
@@ -58,23 +28,24 @@ let tree g ~up ~dist ~parent root =
   let rec visit x =
     dfs.(x) <- !counter;
     incr counter;
-    for k = 1 to Graph.degree g x do
-      let y = Graph.neighbor g x ~port:k in
-      if parent.(y) = x then visit y
+    let row = Graph.neighbors g x in
+    for k = 0 to Array.length row - 1 do
+      if parent.(row.(k)) = x then visit row.(k)
     done;
     last.(x) <- !counter - 1
   in
   visit root;
   let children =
     Array.init n (fun x ->
-        let rec row k acc =
+        let row = Graph.neighbors g x in
+        let rec kids k acc =
           if k = 0 then Array.of_list acc
           else begin
-            let y = Graph.neighbor g x ~port:k in
-            row (k - 1) (if parent.(y) = x then (k, dfs.(y), last.(y)) :: acc else acc)
+            let y = row.(k - 1) in
+            kids (k - 1) (if parent.(y) = x then (k, dfs.(y), last.(y)) :: acc else acc)
           end
         in
-        row (Graph.degree g x) [])
+        kids (Array.length row) [])
   in
   let up = Array.init n (fun v -> if v = root then 0 else up g ~dist ~parent v) in
   { dfs; children; up }
@@ -82,12 +53,16 @@ let tree g ~up ~dist ~parent root =
 let prepare g ~landmarks ~up =
   let n = Graph.order g in
   let dist_to_a = Array.make n max_int and home = Array.make n 0 in
+  (* one workspace for every search: the landmark trees, then the
+     balls *)
+  let ws = Bfs.workspace () in
   (* landmarks in index order, so a strict < keeps the smaller index
      on ties *)
   let trees =
     Array.init (Array.length landmarks) (fun i ->
         let root = landmarks.(i) in
-        let dist, parent = Bfs.distances_with_parents g root in
+        Bfs.search ~parents:true ws g root;
+        let dist = Bfs.dist_array ws and parent = Bfs.parent_array ws in
         for v = 0 to n - 1 do
           if dist.(v) < dist_to_a.(v) then begin
             dist_to_a.(v) <- dist.(v);
@@ -99,13 +74,13 @@ let prepare g ~landmarks ~up =
   (* x <> v stores v iff d(x,v) < d(v,A): x lies in v's ball. Taking
      destinations in decreasing order leaves each list sorted. *)
   let lists = Array.make n [] in
-  let b = new_ball n in
   for v = n - 1 downto 0 do
     if dist_to_a.(v) > 0 then begin
-      fill_ball g b v ~radius:dist_to_a.(v);
-      for j = 1 to b.size - 1 do
-        let x = b.queue.(j) in
-        lists.(x) <- (v, Bfs.port_toward g b.dist x) :: lists.(x)
+      Bfs.search ~radius:dist_to_a.(v) ws g v;
+      let ball = Bfs.visit_order ws and dist = Bfs.dist_array ws in
+      for j = 1 to Bfs.reached ws - 1 do
+        let x = ball.(j) in
+        lists.(x) <- (v, Bfs.port_toward g dist x) :: lists.(x)
       done
     end
   done;
@@ -127,9 +102,9 @@ let bunch d v =
   let radius = d.dist_to_a.(v) in
   if radius = 0 then [||]
   else begin
-    let b = new_ball (Graph.order d.graph) in
-    fill_ball d.graph b v ~radius;
-    let members = Array.sub b.queue 1 (b.size - 1) in
+    let ws = Bfs.workspace () in
+    Bfs.search ~radius ws d.graph v;
+    let members = Array.sub (Bfs.visit_order ws) 1 (Bfs.reached ws - 1) in
     Array.sort compare members;
     members
   end

@@ -13,8 +13,9 @@
       ties, and [d(v,A) = d(v, p(v))];
     - the cluster table at [x] stores, for every destination [v] with
       [0 < d(x,v) < d(v,A)], the smallest port one step closer to [v].
-      It is filled by one BFS out of each [v] bounded to radius
-      [d(v,A) - 1], reset in [O(|ball|)], so the tables cost
+      It is filled by one bounded {!Umrs_graph.Bfs.search} out of each
+      [v], which reaches exactly the ball [d(v,·) < d(v,A)] and resets
+      its workspace in [O(|ball|)], so the tables cost
       [O(Σ|C| + |A|·m)] to build rather than [Θ(n²)];
     - in each landmark tree every vertex stores, per child arc in port
       order, the DFS interval [lo, hi] of the child's subtree.

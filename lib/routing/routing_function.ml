@@ -135,28 +135,6 @@ let stretch ?dist rf =
         }
       end)
 
-let sampled_stretch st rf ~pairs =
-  let n = Graph.order rf.graph in
-  if n < 2 then 1.0
-  else begin
-    let worst = ref 1.0 in
-    for _ = 1 to pairs do
-      let u = Random.State.int st n in
-      let rec draw () =
-        let v = Random.State.int st n in
-        if v = u then draw () else v
-      in
-      let v = draw () in
-      let d = (Bfs.distances rf.graph u).(v) in
-      if d <> Bfs.infinity && d > 0 then begin
-        let dr = route_length rf u v in
-        let r = float_of_int dr /. float_of_int d in
-        if r > !worst then worst := r
-      end
-    done;
-    !worst
-  end
-
 let stretch_ratios ?dist rf =
   with_dist ?dist rf (fun d ->
       let n = Graph.order rf.graph in

@@ -76,13 +76,6 @@ val stretch : ?dist:int array array -> t -> stretch_report
     precomputed distance matrix may be supplied. Raises if some pair is
     not delivered. *)
 
-val sampled_stretch :
-  Random.State.t -> t -> pairs:int -> float
-(** Maximum ratio over [pairs] uniform random source/destination pairs —
-    a lower bound on the true worst-case stretch, usable at orders where
-    the exhaustive [O(n^2)] scan is too slow. Distances are computed per
-    sampled source only. *)
-
 val stretch_ratios : ?dist:int array array -> t -> float array
 (** The per-pair ratio [dR/dG] for every ordered pair of distinct
     vertices (row-major) — feed to {!Umrs_bench.Quantile} for

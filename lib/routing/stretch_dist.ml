@@ -37,8 +37,9 @@ let sampled ?(seed = 0xD157) ?(pairs = default_sample_pairs) ?domains rf =
   let pairs = max 1 pairs in
   (* Draw the pair sample up front (seeded, sequential), group the
      destinations by source, then fan the per-source BFS + routes out
-     over domains. The result is a deterministic function of the seed
-     regardless of the domain count. *)
+     over domains, one BFS workspace each. The result is a
+     deterministic function of the seed regardless of the domain
+     count. *)
   let st = Random.State.make [| seed; n; pairs; 0xD157 |] in
   let by_src = Array.make n [] in
   for _ = 1 to pairs do
@@ -54,9 +55,11 @@ let sampled ?(seed = 0xD157) ?(pairs = default_sample_pairs) ?domains rf =
       (List.filter (fun u -> by_src.(u) <> []) (List.init n Fun.id))
   in
   let per_source =
-    Parallel.map_range ?domains (Array.length sources) (fun i ->
+    Parallel.map_range_with ?domains ~init:Bfs.workspace (Array.length sources)
+      (fun ws i ->
         let u = sources.(i) in
-        let d = Bfs.distances g u in
+        Bfs.search ws g u;
+        let d = Bfs.dist_array ws in
         List.rev_map
           (fun v ->
             let dr = Routing_function.route_length rf u v in

@@ -7,8 +7,9 @@
     Below a node cutoff the distribution is exact over all ordered
     pairs (one shared APSP via {!Umrs_graph.Dist_cache}); above it a
     seeded pair sample is measured with one BFS per sampled source,
-    fanned out over {!Umrs_graph.Parallel} domains. Either way the
-    result is a deterministic function of the graph and the seed. *)
+    fanned out over {!Umrs_graph.Parallel} domains, each reusing one
+    {!Umrs_graph.Bfs.workspace}. Either way the result is a
+    deterministic function of the graph and the seed. *)
 
 type summary = {
   ds_pairs : int;    (** ratios measured (all ordered pairs if exact) *)

@@ -84,6 +84,174 @@ let triangle_inequality g d =
   done;
   !ok
 
+(* ---------- the kernel against the Queue-based BFS it replaced ---------- *)
+
+(* The Queue-based [distances_with_parents] that Bfs ran before the
+   kernel, kept as the oracle. It also returns the order in which
+   vertices left the queue. *)
+let oracle g src =
+  let n = Graph.order g in
+  let dist = Array.make n Bfs.infinity in
+  let parent = Array.make n (-1) in
+  let queue = Queue.create () in
+  let order = ref [] in
+  dist.(src) <- 0;
+  Queue.add src queue;
+  while not (Queue.is_empty queue) do
+    let v = Queue.pop queue in
+    order := v :: !order;
+    let dv = dist.(v) in
+    Array.iter
+      (fun w ->
+        if dist.(w) = Bfs.infinity then begin
+          dist.(w) <- dv + 1;
+          parent.(w) <- v;
+          Queue.add w queue
+        end)
+      (Graph.neighbors g v)
+  done;
+  (dist, parent, Array.of_list (List.rev !order))
+
+(* Connected and disconnected graphs, edgeless ones, n = 1, long paths
+   and paths hung off a random graph. *)
+let bfs_graph =
+  Gen.make ~print:Gen.print_graph (fun st ->
+      let connected () = (Gen.connected_graph ~max_n:30 ()).Gen.gen st in
+      match Random.State.int st 7 with
+      | 0 -> Graph.disjoint_union (connected ()) (connected ())
+      | 1 -> Graph.empty (1 + Random.State.int st 4)
+      | 2 -> Generators.path (100 + Random.State.int st 200)
+      | 3 ->
+        let g = connected () in
+        Graph.attach_path g ~anchor:(Random.State.int st (Graph.order g))
+          ~len:(1 + Random.State.int st 60)
+      | 4 -> Graph.disjoint_union (connected ()) (Graph.empty 3)
+      | _ -> connected ())
+
+let visited ws = Array.sub (Bfs.visit_order ws) 0 (Bfs.reached ws)
+let first n a = Array.sub a 0 n
+
+(* Past the graph's order a workspace's arrays stay clean. *)
+let clean_past n a blank =
+  let ok = ref true in
+  for v = n to Array.length a - 1 do
+    if a.(v) <> blank then ok := false
+  done;
+  !ok
+
+let kernel_matches_oracle g =
+  let n = Graph.order g in
+  let ws = Bfs.workspace () in
+  List.for_all
+    (fun src ->
+      let dist, parent, order = oracle g src in
+      Bfs.search ~parents:true ws g src;
+      first n (Bfs.dist_array ws) = dist
+      && first n (Bfs.parent_array ws) = parent
+      && visited ws = order
+      && Bfs.distances g src = dist
+      && Bfs.distances_with_parents g src = (dist, parent)
+      && Bfs.distances_with ws g src = dist)
+    (List.init n Fun.id)
+
+(* The bounded mode reaches exactly { v : d(src,v) < radius }, src
+   first, in BFS order: the unbounded visit order cut to the ball. *)
+let bounded_is_ball g =
+  let n = Graph.order g in
+  let ws = Bfs.workspace () in
+  List.for_all
+    (fun src ->
+      let dist, _, order = oracle g src in
+      let ecc = Array.fold_left (fun m d -> if d = Bfs.infinity then m else max m d) 0 dist in
+      List.for_all
+        (fun radius ->
+          Bfs.search ~radius ws g src;
+          let inside v = dist.(v) < radius in
+          visited ws = Array.of_list (List.filter inside (Array.to_list order))
+          && (visited ws).(0) = src
+          && first n (Bfs.dist_array ws)
+             = Array.map (fun d -> if d < radius then d else Bfs.infinity) dist)
+        (List.sort_uniq compare (ecc + 1 :: ecc + 2 :: List.init 6 (fun r -> r + 1))))
+    (List.init n Fun.id)
+
+(* One workspace through a seeded run of searches (any source, bounded
+   or not, with or without parents) over graphs of different orders
+   gives what a fresh workspace gives each time. *)
+let search_run =
+  let print_search (src, parents, radius) =
+    Printf.sprintf "\n  search src=%d parents=%b radius=%s" src parents
+      (Option.fold ~none:"none" ~some:string_of_int radius)
+  in
+  let print (g, searches) =
+    Gen.print_graph g ^ String.concat "" (List.map print_search searches)
+  in
+  Gen.make
+    ~print:(fun run -> String.concat "\n" (List.map print run))
+    (fun st ->
+      List.init (2 + Random.State.int st 5) (fun _ ->
+          let g = bfs_graph.Gen.gen st in
+          ( g,
+            List.init 8 (fun _ ->
+                ( Random.State.int st (Graph.order g),
+                  Random.State.bool st,
+                  if Random.State.bool st then None else Some (1 + Random.State.int st 6) )) )))
+
+let reused_equals_fresh run =
+  let ws = Bfs.workspace () in
+  List.for_all
+    (fun (g, searches) ->
+      let n = Graph.order g in
+      List.for_all
+        (fun (src, parents, radius) ->
+          let fresh = Bfs.workspace () in
+          Bfs.search ~parents ?radius fresh g src;
+          Bfs.search ~parents ?radius ws g src;
+          visited ws = visited fresh
+          && first n (Bfs.dist_array ws) = Bfs.dist_array fresh
+          && clean_past n (Bfs.dist_array ws) Bfs.infinity
+          && ((not parents)
+             || first n (Bfs.parent_array ws) = Bfs.parent_array fresh
+                && clean_past n (Bfs.parent_array ws) (-1)))
+        searches)
+    run
+
+(* Like [canonical_rows allocates nothing per call]: a warm workspace
+   searches without touching the minor heap. *)
+let test_warm_search_allocates_nothing () =
+  let g = Generators.barabasi_albert (rng ()) ~n:500 ~m:2 in
+  let ws = Bfs.workspace () in
+  List.iter
+    (fun (name, run) ->
+      run 0;
+      let calls = 1000 in
+      let before = Gc.minor_words () in
+      for i = 1 to calls do
+        run (i mod 500)
+      done;
+      let per_call = (Gc.minor_words () -. before) /. float_of_int calls in
+      check_true (Printf.sprintf "%s: %.3f minor words per call" name per_call) (per_call < 1.0))
+    [
+      ("plain", fun src -> Bfs.search ws g src);
+      ("parents", fun src -> Bfs.search ~parents:true ws g src);
+      ("bounded", fun src -> Bfs.search ~radius:3 ws g src);
+    ]
+
+let test_kernel_edges () =
+  let ws = Bfs.workspace () in
+  let one = Graph.empty 1 in
+  Bfs.search ~parents:true ws one 0;
+  check_true "n = 1" (visited ws = [| 0 |] && (Bfs.dist_array ws).(0) = 0);
+  let long = Generators.path 5000 in
+  Bfs.search ws long 0;
+  check_int "long path: last vertex" 4999 (Bfs.dist_array ws).(4999);
+  check_int "long path: eccentricity" 4999 (Bfs.eccentricity long 0);
+  check_true "parent_array after a search without parents"
+    (try ignore (Bfs.parent_array ws); false with Invalid_argument _ -> true);
+  check_true "radius 0 rejected"
+    (try Bfs.search ~radius:0 ws long 0; false with Invalid_argument _ -> true);
+  check_true "bad source rejected"
+    (try Bfs.search ws long 5000; false with Invalid_argument _ -> true)
+
 let suite =
   [
     case "path distances" test_path_distances;
@@ -109,4 +277,11 @@ let suite =
         | None -> false);
     prop "bfs tree preserves root distances" arbitrary_connected_graph
       (fun g -> Bfs.distances (Bfs.bfs_tree g 0) 0 = Bfs.distances g 0);
+    Gen.prop ~count:100 "kernel = Queue oracle from every source" bfs_graph
+      kernel_matches_oracle;
+    Gen.prop ~count:60 "bounded search = ball in BFS order" bfs_graph bounded_is_ball;
+    Gen.prop ~count:60 "one workspace across sources and orders" search_run
+      reused_equals_fresh;
+    case "warm search allocates nothing" test_warm_search_allocates_nothing;
+    case "kernel edge cases" test_kernel_edges;
   ]

@@ -128,7 +128,9 @@ let test_large_scale_smoke () =
     end
   done;
   check_true "sampled stretch 1"
-    (Routing_function.sampled_stretch st tables.Scheme.rf ~pairs:30 <= 1.0 +. 1e-9)
+    ((Stretch_dist.sampled ~seed:(Random.State.bits st) ~pairs:30 tables.Scheme.rf)
+       .Stretch_dist.ds_max
+    <= 1.0 +. 1e-9)
 
 let suite =
   [

@@ -42,16 +42,16 @@ let test_disconnected_rejected () =
      with Invalid_argument _ -> true)
 
 let test_sampled_stretch () =
-  let st = rng () in
+  let seed = Random.State.bits (rng ()) in
   let g = Generators.torus 5 5 in
   let exact = (Routing_function.stretch (tables g)).Routing_function.max_ratio in
-  let sampled = Routing_function.sampled_stretch st (tables g) ~pairs:60 in
+  let sampled = (Stretch_dist.sampled ~seed ~pairs:60 (tables g)).Stretch_dist.ds_max in
   check_true "sampled <= exact" (sampled <= exact +. 1e-9);
   check_true "sampled >= 1" (sampled >= 1.0);
   (* on a detour-heavy function, sampling finds stretch > 1 quickly *)
   let b = Spanner_scheme.build ~k:2 (Generators.complete 16) in
   check_true "detects stretch"
-    (Routing_function.sampled_stretch st b.Scheme.rf ~pairs:120 > 1.0)
+    ((Stretch_dist.sampled ~seed ~pairs:120 b.Scheme.rf).Stretch_dist.ds_max > 1.0)
 
 let test_parallel_table_build () =
   let st = rng () in
