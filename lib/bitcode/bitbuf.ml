@@ -1,24 +1,54 @@
+(* Layout: stream bit i is bit [i land 7] of byte [i lsr 3] (LSB
+   first), and a field goes in MSB first, so its leading bit takes the
+   lowest stream position.
+
+   Invariant: every bit at a stream position >= [len] is zero, in the
+   last partly filled byte and in the spare capacity alike. [create]
+   and [grow] hand out zeroed bytes, [of_bytes] re-zeroes the padding
+   of its last byte, and the writers only OR ones in below the new
+   [len]. So a writer can OR a piece into a byte without clearing it
+   first, and [to_bytes] needs no masking.
+
+   Fields move a byte-piece at a time: a field is cut at byte
+   boundaries, and each piece is one masked OR into (or one shift out
+   of) a single byte, put into stream order by [rev8]. Dune's dev
+   profile compiles with -opaque, so the byte accesses are declared
+   here on the bounds-checked primitives rather than called through
+   [Bytes], and the hot paths compare ints without [Stdlib.min]. *)
+
+external get_byte : Bytes.t -> int -> int = "%bytes_safe_get"
+external set_byte : Bytes.t -> int -> int -> unit = "%bytes_safe_set"
+
+(* [rev8.(v)] is the 8-bit value [v] with its bit order reversed. *)
+let rev8 =
+  Array.init 256 (fun v ->
+      let r = ref 0 in
+      for i = 0 to 7 do
+        if v land (1 lsl i) <> 0 then r := !r lor (1 lsl (7 - i))
+      done;
+      !r)
+
 type t = { mutable bits : Bytes.t; mutable len : int }
 
 let create () = { bits = Bytes.make 16 '\000'; len = 0 }
 
 let length b = b.len
 
+let grow b extra =
+  let need = (b.len + extra + 7) lsr 3 in
+  let have = Bytes.length b.bits in
+  let fresh = Bytes.make (if need > 2 * have then need else 2 * have) '\000' in
+  Bytes.blit b.bits 0 fresh 0 have;
+  b.bits <- fresh
+
 let ensure b extra =
-  let need = (b.len + extra + 7) / 8 in
-  if need > Bytes.length b.bits then begin
-    let cap = max need (2 * Bytes.length b.bits) in
-    let fresh = Bytes.make cap '\000' in
-    Bytes.blit b.bits 0 fresh 0 (Bytes.length b.bits);
-    b.bits <- fresh
-  end
+  if b.len + extra > Bytes.length b.bits lsl 3 then grow b extra
 
 let add_bit b bit =
   ensure b 1;
   if bit then begin
-    let byte = b.len / 8 and off = b.len mod 8 in
-    Bytes.set b.bits byte
-      (Char.chr (Char.code (Bytes.get b.bits byte) lor (1 lsl off)))
+    let i = b.len lsr 3 in
+    set_byte b.bits i (get_byte b.bits i lor (1 lsl (b.len land 7)))
   end;
   b.len <- b.len + 1
 
@@ -26,13 +56,24 @@ let add_bits b x ~width =
   if width < 0 || width > 62 then invalid_arg "Bitbuf.add_bits: width";
   if x < 0 || (width < 62 && x lsr width <> 0) then
     invalid_arg "Bitbuf.add_bits: value does not fit";
-  for i = width - 1 downto 0 do
-    add_bit b ((x lsr i) land 1 = 1)
-  done
+  ensure b width;
+  let bits = b.bits in
+  let pos = ref b.len and rest = ref width in
+  while !rest > 0 do
+    let off = !pos land 7 in
+    let k = if !rest < 8 - off then !rest else 8 - off in
+    (* the field's next [k] bits, reversed into stream order below *)
+    let piece = (x lsr (!rest - k)) land ((1 lsl k) - 1) in
+    let i = !pos lsr 3 in
+    set_byte bits i (get_byte bits i lor (rev8.(piece lsl (8 - k)) lsl off));
+    pos := !pos + k;
+    rest := !rest - k
+  done;
+  b.len <- !pos
 
 let get b i =
   if i < 0 || i >= b.len then invalid_arg "Bitbuf: index out of range";
-  Char.code (Bytes.get b.bits (i / 8)) land (1 lsl (i mod 8)) <> 0
+  get_byte b.bits (i lsr 3) land (1 lsl (i land 7)) <> 0
 
 let append dst src =
   for i = 0 to src.len - 1 do
@@ -48,12 +89,11 @@ let of_bytes bytes ~len =
     invalid_arg "Bitbuf.of_bytes: len does not fit the bytes";
   let b = { bits = Bytes.sub bytes 0 ((len + 7) / 8); len } in
   (* Re-zero the padding bits of the last byte so equal bit sequences
-     have equal byte images regardless of the caller's padding. *)
-  if len mod 8 <> 0 && Bytes.length b.bits > 0 then begin
-    let last = Bytes.length b.bits - 1 in
-    let keep = (1 lsl (len mod 8)) - 1 in
-    Bytes.set b.bits last
-      (Char.chr (Char.code (Bytes.get b.bits last) land keep))
+     have equal byte images regardless of the caller's padding, and so
+     the zero-past-[len] invariant holds for later writes. *)
+  if len land 7 <> 0 then begin
+    let last = len lsr 3 in
+    set_byte b.bits last (get_byte b.bits last land ((1 lsl (len land 7)) - 1))
   end;
   b
 
@@ -72,10 +112,10 @@ type reader = { buf : t; mutable pos : int }
 let reader buf = { buf; pos = 0 }
 
 let read_bit r =
-  if r.pos >= r.buf.len then invalid_arg "Bitbuf.read_bit: past end";
-  let bit = get r.buf r.pos in
-  r.pos <- r.pos + 1;
-  bit
+  let p = r.pos in
+  if p >= r.buf.len then invalid_arg "Bitbuf.read_bit: past end";
+  r.pos <- p + 1;
+  get_byte r.buf.bits (p lsr 3) land (1 lsl (p land 7)) <> 0
 
 let reader_pos r = r.pos
 
@@ -87,10 +127,18 @@ let read_bits r ~width =
   if width < 0 || width > 62 then invalid_arg "Bitbuf.read_bits: width";
   (* Check up front so a failed read never half-consumes the reader. *)
   if r.buf.len - r.pos < width then invalid_arg "Bitbuf.read_bits: past end";
-  let x = ref 0 in
-  for _ = 1 to width do
-    x := (!x lsl 1) lor if read_bit r then 1 else 0
+  let bits = r.buf.bits in
+  let pos = ref r.pos and rest = ref width and x = ref 0 in
+  while !rest > 0 do
+    let off = !pos land 7 in
+    let k = if !rest < 8 - off then !rest else 8 - off in
+    (* [k] stream bits from [off], reversed back into field order *)
+    let piece = (get_byte bits (!pos lsr 3) lsr off) land ((1 lsl k) - 1) in
+    x := (!x lsl k) lor (rev8.(piece) lsr (8 - k));
+    pos := !pos + k;
+    rest := !rest - k
   done;
+  r.pos <- !pos;
   !x
 
 let remaining r = r.buf.len - r.pos

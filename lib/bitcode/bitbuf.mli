@@ -3,7 +3,31 @@
     The paper measures routing memory in bits (its [MEM] is Kolmogorov
     complexity relative to a fixed coding). Every scheme in this suite
     encodes its per-router state into a [Bitbuf.t]; [length] is the
-    exact bit count charged to that router. Decoders use [reader]. *)
+    exact bit count charged to that router. Decoders use [reader].
+
+    {2 Layout}
+
+    Bit [i] of the stream is bit [i mod 8] of byte [i / 8], least
+    significant first. A field written by {!add_bits} goes in most
+    significant bit first, so its leading bit takes the lowest stream
+    position. Bits past {!length} are zero, in the last partly filled
+    byte and in the spare capacity alike: every writer relies on this
+    to OR bits into a byte without clearing it first, and {!to_bytes}
+    returns it as the zero padding. The corpus records
+    ({!Umrs_store.Corpus}) and the wire frames of the serving layer are
+    these byte images, so the layout is a file and protocol format, not
+    an implementation detail.
+
+    {2 Cost}
+
+    {!add_bits} and {!read_bits} cut a field at byte boundaries and move
+    each piece with one masked byte operation: O(width / 8) per field,
+    at most [1 + (width + 6) / 8] pieces, with one capacity check per
+    field. No [Stdlib] function is called per field, which matters
+    because dune's dev profile compiles with [-opaque] and every such
+    call would be a real call. {!add_bit}, {!read_bit} and {!get} touch
+    one byte. {!append}, {!concat}, {!to_bool_array}, {!of_bool_array}
+    and {!pp} go a bit at a time. *)
 
 type t
 
@@ -58,8 +82,11 @@ val seek : reader -> int -> unit
     [Invalid_argument] outside the range. *)
 
 val read_bits : reader -> width:int -> int
-(** Raises [Invalid_argument] if fewer than [width] bits remain; the
-    reader position is unchanged on failure. *)
+(** [read_bits r ~width] reads the next [width] bits as one field, most
+    significant first: the inverse of {!add_bits}. Requires
+    [0 <= width <= 62]. Raises [Invalid_argument] if fewer than
+    [width] bits remain; the reader position is unchanged on
+    failure. *)
 
 val remaining : reader -> int
 

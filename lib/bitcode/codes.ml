@@ -7,15 +7,19 @@ let ceil_log2 x =
   if x < 1 then invalid_arg "Codes.ceil_log2: need x >= 1";
   bits_needed (x - 1)
 
-let write_fixed b x ~width = Bitbuf.add_bits b x ~width
-let read_fixed r ~width = Bitbuf.read_bits r ~width
+let write_fixed = Bitbuf.add_bits
+let read_fixed = Bitbuf.read_bits
 
+(* A unary run goes out as 62-bit fields of ones; the last field
+   carries the remaining ones and the terminating zero. *)
 let write_unary b x =
   if x < 0 then invalid_arg "Codes.write_unary: negative";
-  for _ = 1 to x do
-    Bitbuf.add_bit b true
+  let rest = ref x in
+  while !rest >= 62 do
+    Bitbuf.add_bits b ((1 lsl 62) - 1) ~width:62;
+    rest := !rest - 62
   done;
-  Bitbuf.add_bit b false
+  Bitbuf.add_bits b (((1 lsl !rest) - 1) lsl 1) ~width:(!rest + 1)
 
 let read_unary r =
   let x = ref 0 in

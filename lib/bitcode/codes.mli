@@ -21,6 +21,9 @@ val read_fixed : Bitbuf.reader -> width:int -> int
 
 val write_unary : Bitbuf.t -> int -> unit
 val read_unary : Bitbuf.reader -> int
+(** Raises [Invalid_argument] if the buffer ends before the
+    terminating zero. *)
+
 val unary_length : int -> int
 
 (** {1 Elias gamma} — [x >= 1], [2 floor(log2 x) + 1] bits. *)

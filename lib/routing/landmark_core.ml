@@ -191,13 +191,21 @@ type decoded = {
 
 let decode_vertex buf ~degree =
   let r = Bitbuf.reader buf in
+  (* A count read off a corrupt record must not size an allocation the
+     record cannot fill: each entry takes at least [width] bits. *)
+  let count ~width what =
+    let k = Codes.read_gamma r - 1 in
+    if k > Bitbuf.remaining r / width then
+      invalid_arg ("Landmark_core.decode_vertex: truncated " ^ what);
+    k
+  in
   let n = Codes.read_delta r in
   let vwidth = Codes.ceil_log2 (max 2 n) in
   let pwidth = Codes.ceil_log2 (max 2 degree) in
   let self = Codes.read_fixed r ~width:vwidth in
-  let l = Codes.read_gamma r - 1 in
+  let l = count ~width:(pwidth + 1) "landmark ports" in
   let up_ports = Array.init l (fun _ -> Codes.read_fixed r ~width:(pwidth + 1)) in
-  let csize = Codes.read_gamma r - 1 in
+  let csize = count ~width:(vwidth + pwidth) "cluster table" in
   let cluster =
     Array.init csize (fun _ ->
         let w = Codes.read_fixed r ~width:vwidth in
@@ -206,7 +214,7 @@ let decode_vertex buf ~degree =
   in
   let children =
     Array.init l (fun _ ->
-        let k = Codes.read_gamma r - 1 in
+        let k = count ~width:(pwidth + (2 * vwidth)) "tree children" in
         Array.init k (fun _ ->
             let p = 1 + Codes.read_fixed r ~width:pwidth in
             let lo = Codes.read_fixed r ~width:vwidth in

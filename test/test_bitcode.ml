@@ -159,6 +159,259 @@ let combination_arb =
         (String.concat ";" (List.map string_of_int (Array.to_list c))))
     gen
 
+(* ---------- Bitbuf against a bit-at-a-time oracle ---------- *)
+
+(* The oracle writes and reads one bit per step over the documented
+   layout: stream bit i is bit [i mod 8] of byte [i / 8], fields go in
+   MSB first. The round-trip properties above would still pass if
+   writer and reader changed the layout together; comparing byte
+   images with these loops would not. *)
+module Oracle = struct
+  type t = { mutable bits : Bytes.t; mutable len : int }
+
+  let create () = { bits = Bytes.make 16 '\000'; len = 0 }
+
+  let ensure b extra =
+    let need = (b.len + extra + 7) / 8 in
+    if need > Bytes.length b.bits then begin
+      let cap = max need (2 * Bytes.length b.bits) in
+      let fresh = Bytes.make cap '\000' in
+      Bytes.blit b.bits 0 fresh 0 (Bytes.length b.bits);
+      b.bits <- fresh
+    end
+
+  let add_bit b bit =
+    ensure b 1;
+    if bit then begin
+      let byte = b.len / 8 and off = b.len mod 8 in
+      Bytes.set b.bits byte
+        (Char.chr (Char.code (Bytes.get b.bits byte) lor (1 lsl off)))
+    end;
+    b.len <- b.len + 1
+
+  let add_bits b x ~width =
+    for i = width - 1 downto 0 do
+      add_bit b ((x lsr i) land 1 = 1)
+    done
+
+  let get b i = Char.code (Bytes.get b.bits (i / 8)) land (1 lsl (i mod 8)) <> 0
+
+  let read_bits b pos ~width =
+    let x = ref 0 in
+    for i = pos to pos + width - 1 do
+      x := (!x lsl 1) lor if get b i then 1 else 0
+    done;
+    !x
+
+  (* The first [len] bits of a packed image; the rest is dropped. *)
+  let of_bytes bytes ~len =
+    let b = create () in
+    for i = 0 to len - 1 do
+      add_bit b (Char.code (Bytes.get bytes (i / 8)) land (1 lsl (i mod 8)) <> 0)
+    done;
+    b
+
+  let to_bytes b = Bytes.sub b.bits 0 ((b.len + 7) / 8)
+  let to_string b = String.init b.len (fun i -> if get b i then '1' else '0')
+end
+
+type write = W_bit of bool | W_bits of int * int | W_unary of int
+type read = R_bit | R_bits of int | R_seek of int | R_unary
+
+let raises f = match f () with _ -> false | exception Invalid_argument _ -> true
+
+(* [w] random bits: three 30-bit draws cover the 62-bit widths. *)
+let random_bits st w =
+  let r =
+    (Random.State.bits st lsl 60) lxor (Random.State.bits st lsl 30)
+    lxor Random.State.bits st
+  in
+  r land ((1 lsl w) - 1)
+
+let gen_write st =
+  match Random.State.int st 8 with
+  | 0 -> W_bit (Random.State.bool st)
+  | 1 -> W_unary (Random.State.int st 200)
+  | _ ->
+    let w =
+      if Random.State.bool st then Random.State.int st 63
+      else Random.State.int st 12
+    in
+    (* all ones at width 62 is [max_int] *)
+    let x =
+      match Random.State.int st 4 with
+      | 0 -> 0
+      | 1 -> (1 lsl w) - 1
+      | _ -> random_bits st w
+    in
+    W_bits (x, w)
+
+let write_length = function
+  | W_bit _ -> 1
+  | W_bits (_, w) -> w
+  | W_unary n -> n + 1
+
+let gen_read st ~len =
+  match Random.State.int st 6 with
+  | 0 -> R_bit
+  | 1 -> R_seek (Random.State.int st (len + 5) - 2)
+  | 2 -> R_unary
+  | _ -> R_bits (Random.State.int st 63)
+
+let print_case (start, writes, reads) =
+  let start =
+    match start with
+    | None -> "create"
+    | Some (bytes, len) ->
+      Printf.sprintf "of_bytes %S ~len:%d" (Bytes.to_string bytes) len
+  in
+  let w = function
+    | W_bit b -> Printf.sprintf "bit %b" b
+    | W_bits (x, w) -> Printf.sprintf "bits %d/%d" x w
+    | W_unary n -> Printf.sprintf "unary %d" n
+  in
+  let r = function
+    | R_bit -> "read_bit"
+    | R_bits w -> Printf.sprintf "read_bits %d" w
+    | R_seek p -> Printf.sprintf "seek %d" p
+    | R_unary -> "read_unary"
+  in
+  Printf.sprintf "%s; [%s]; [%s]" start
+    (String.concat "; " (List.map w writes))
+    (String.concat "; " (List.map r reads))
+
+let drop_each l =
+  Seq.map
+    (fun i -> List.filteri (fun j _ -> j <> i) l)
+    (Seq.take (List.length l) (Seq.ints 0))
+
+(* A start (fresh, or [of_bytes] over random bytes whose padding past
+   [len] is garbage), then writes, then reads that run past the end. *)
+let bitbuf_case =
+  Gen.make ~print:print_case
+    ~shrink:(fun (s, w, r) ->
+      Seq.append
+        (if s = None then Seq.empty else Seq.return (None, w, r))
+        (Seq.append
+           (Seq.map (fun w -> (s, w, r)) (drop_each w))
+           (Seq.map (fun r -> (s, w, r)) (drop_each r))))
+    (fun st ->
+      let start =
+        if Random.State.int st 3 > 0 then None
+        else begin
+          let n = Random.State.int st 12 in
+          let bytes =
+            Bytes.init n (fun _ -> Char.chr (Random.State.int st 256))
+          in
+          Some (bytes, Random.State.int st ((8 * n) + 1))
+        end
+      in
+      let writes = List.init (Random.State.int st 40) (fun _ -> gen_write st) in
+      let len =
+        List.fold_left (fun acc w -> acc + write_length w)
+          (match start with None -> 0 | Some (_, l) -> l)
+          writes
+      in
+      let reads = List.init (Random.State.int st 60) (fun _ -> gen_read st ~len) in
+      (start, writes, reads))
+
+let matches_oracle (start, writes, reads) =
+  let b, o =
+    match start with
+    | None -> (Bitbuf.create (), Oracle.create ())
+    | Some (bytes, len) ->
+      (Bitbuf.of_bytes bytes ~len, Oracle.of_bytes bytes ~len)
+  in
+  List.iter
+    (function
+      | W_bit x -> Bitbuf.add_bit b x; Oracle.add_bit o x
+      | W_bits (x, width) ->
+        Bitbuf.add_bits b x ~width;
+        Oracle.add_bits o x ~width
+      | W_unary n ->
+        Codes.write_unary b n;
+        for _ = 1 to n do Oracle.add_bit o true done;
+        Oracle.add_bit o false)
+    writes;
+  let r = Bitbuf.reader b in
+  let step op =
+    let pos = Bitbuf.reader_pos r in
+    let left = o.Oracle.len - pos in
+    let moved_to p = Bitbuf.reader_pos r = p in
+    match op with
+    | R_bit when left > 0 ->
+      Bitbuf.read_bit r = Oracle.get o pos && moved_to (pos + 1)
+    | R_bit -> raises (fun () -> Bitbuf.read_bit r) && moved_to pos
+    | R_bits width when width <= left ->
+      Bitbuf.read_bits r ~width = Oracle.read_bits o pos ~width
+      && moved_to (pos + width)
+    | R_bits width ->
+      raises (fun () -> Bitbuf.read_bits r ~width) && moved_to pos
+    | R_seek p when p >= 0 && p <= o.Oracle.len -> Bitbuf.seek r p; moved_to p
+    | R_seek p -> raises (fun () -> Bitbuf.seek r p) && moved_to pos
+    | R_unary ->
+      let rec stop i =
+        if i < o.Oracle.len && Oracle.get o i then stop (i + 1) else i
+      in
+      let z = stop pos in
+      if z < o.Oracle.len then Codes.read_unary r = z - pos && moved_to (z + 1)
+      else raises (fun () -> Codes.read_unary r)
+  in
+  Bitbuf.length b = o.Oracle.len
+  && Bytes.equal (Bitbuf.to_bytes b) (Oracle.to_bytes o)
+  && Format.asprintf "%a" Bitbuf.pp b = Oracle.to_string o
+  && List.for_all step reads
+
+(* Every field width at every offset within a byte, for zero, all ones
+   and a mixed pattern, followed by one more bit. *)
+let test_every_offset_and_width () =
+  for off = 0 to 7 do
+    for width = 0 to 62 do
+      let mask = (1 lsl width) - 1 in
+      List.iter
+        (fun x ->
+          let b = Bitbuf.create () and o = Oracle.create () in
+          for i = 0 to off - 1 do
+            Bitbuf.add_bit b (i land 1 = 0);
+            Oracle.add_bit o (i land 1 = 0)
+          done;
+          Bitbuf.add_bits b x ~width;
+          Oracle.add_bits o x ~width;
+          Bitbuf.add_bit b true;
+          Oracle.add_bit o true;
+          let what = Printf.sprintf "offset %d width %d value %d" off width x in
+          check_true (what ^ ": bytes")
+            (Bytes.equal (Bitbuf.to_bytes b) (Oracle.to_bytes o));
+          let r = Bitbuf.reader b in
+          Bitbuf.seek r off;
+          check_int (what ^ ": read back") x (Bitbuf.read_bits r ~width);
+          check_true (what ^ ": next bit") (Bitbuf.read_bit r))
+        [ 0; mask; 0x2D5B_3C97_A6E1_0F48 land mask ]
+    done
+  done
+
+(* The argument checks: a refused write leaves the buffer as it was. *)
+let test_bitbuf_checks () =
+  let b = Bitbuf.create () in
+  Bitbuf.add_bits b 5 ~width:3;
+  check_true "width -1" (raises (fun () -> Bitbuf.add_bits b 0 ~width:(-1)));
+  check_true "width 63" (raises (fun () -> Bitbuf.add_bits b 0 ~width:63));
+  check_true "value too wide" (raises (fun () -> Bitbuf.add_bits b 8 ~width:3));
+  check_true "negative value"
+    (raises (fun () -> Bitbuf.add_bits b (-1) ~width:62));
+  check_int "refused writes add nothing" 3 (Bitbuf.length b);
+  check_true "image unchanged"
+    (Bytes.equal (Bitbuf.to_bytes b) (Bytes.make 1 '\005'));
+  let r = Bitbuf.reader b in
+  check_true "read width 63" (raises (fun () -> Bitbuf.read_bits r ~width:63));
+  check_true "read width -1" (raises (fun () -> Bitbuf.read_bits r ~width:(-1)));
+  check_true "seek -1" (raises (fun () -> Bitbuf.seek r (-1)));
+  check_true "seek past end" (raises (fun () -> Bitbuf.seek r 4));
+  check_int "reader unmoved" 0 (Bitbuf.reader_pos r);
+  let ones = Bitbuf.of_bool_array [| true; true |] in
+  check_true "unary past end"
+    (raises (fun () -> Codes.read_unary (Bitbuf.reader ones)))
+
 let suite =
   [
     case "bitbuf basics" test_bitbuf_basics;
@@ -173,6 +426,10 @@ let suite =
     case "combination rank order" test_combination_rank_order;
     case "combination exhaustive C(7,3)" test_combination_exhaustive;
     case "permutation codec" test_permutation_codec;
+    case "every offset x every width = oracle" test_every_offset_and_width;
+    case "argument checks refuse without effect" test_bitbuf_checks;
+    Gen.prop ~count:300 "bitbuf = bit-at-a-time oracle" bitbuf_case
+      matches_oracle;
     prop "unary roundtrip" small_nat (fun x ->
         let x = x mod 2000 in
         roundtrip Codes.write_unary Codes.read_unary Codes.unary_length x);

@@ -33,6 +33,38 @@ let test_hypercube () =
   check_int "port flip" (6 lxor 4) (Graph.neighbor g 6 ~port:3);
   check_true "bipartite" (Props.is_bipartite g)
 
+(* The 4-cube is K2^4: u ~ v iff u and v differ in exactly one bit. *)
+let test_hypercube_is_k2_power () =
+  let g = Generators.hypercube 4 in
+  check_int "edges" 32 (Graph.size g);
+  for u = 0 to 15 do
+    for v = 0 to 15 do
+      let x = u lxor v in
+      check_true
+        (Printf.sprintf "%d ~ %d" u v)
+        (Graph.mem_edge g u v = (x <> 0 && x land (x - 1) = 0))
+    done
+  done
+
+(* The 4x5 torus is C4 x C5: vertex y*4 + x is adjacent exactly to its
+   +-1 neighbours mod 4 in x and mod 5 in y. *)
+let test_torus_is_cycle_product () =
+  let g = Generators.torus 4 5 in
+  let id x y = (y * 4) + x in
+  check_int "edges" 40 (Graph.size g);
+  for u = 0 to 19 do
+    let x = u mod 4 and y = u / 4 in
+    let nbrs =
+      [ id ((x + 1) mod 4) y; id ((x + 3) mod 4) y;
+        id x ((y + 1) mod 5); id x ((y + 4) mod 5) ]
+    in
+    for v = 0 to 19 do
+      check_true
+        (Printf.sprintf "%d ~ %d" u v)
+        (Graph.mem_edge g u v = List.mem v nbrs)
+    done
+  done
+
 let test_grid_torus () =
   let g = Generators.grid 4 3 in
   check_int "grid edges" ((3 * 3) + (2 * 4)) (Graph.size g);
@@ -178,7 +210,9 @@ let suite =
     case "complete has sorted ports" test_complete_sorted_ports;
     case "bipartite/star/wheel" test_bipartite_star_wheel;
     case "hypercube" test_hypercube;
+    case "K2^4 is the 4-cube" test_hypercube_is_k2_power;
     case "grid and torus" test_grid_torus;
+    case "C4 x C5 is the 4x5 torus" test_torus_is_cycle_product;
     case "petersen" test_petersen;
     case "generalized petersen" test_generalized_petersen;
     case "random trees" test_random_tree;

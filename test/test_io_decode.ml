@@ -137,6 +137,22 @@ let test_landmark_decode_consumes_exactly () =
     end
   done
 
+let test_landmark_decode_huge_count_refused () =
+  (* a 149-bit record claiming 2^40 - 1 landmarks must be refused before
+     the decoder sizes an array by that count, not die in Array.init *)
+  let module B = Umrs_bitcode.Bitbuf in
+  let module C = Umrs_bitcode.Codes in
+  let buf = B.create () in
+  C.write_delta buf 2000;
+  C.write_fixed buf 5 ~width:11;
+  C.write_gamma buf (1 lsl 40);
+  B.add_bits buf 0 ~width:40;
+  check_int "record length" 149 (B.length buf);
+  check_true "huge landmark count is refused"
+    (match Landmark_scheme.decode_vertex buf ~degree:3 with
+    | exception Invalid_argument _ -> true
+    | _ -> false)
+
 let suite =
   [
     case "io exact roundtrip (ports)" test_io_roundtrip_exact;
@@ -150,6 +166,8 @@ let suite =
     case "io save unwritable path" test_io_save_unwritable_path;
     case "landmark decode roundtrip" test_landmark_decode_roundtrip;
     case "landmark decode boundary" test_landmark_decode_consumes_exactly;
+    case "landmark decode refuses a huge count"
+      test_landmark_decode_huge_count_refused;
     prop ~count:40 "io roundtrip on random graphs" arbitrary_connected_graph
       (fun g -> Graph.equal g (Graph_io.of_string (Graph_io.to_string g)));
     prop ~count:25 "io roundtrip preserves routing tables"

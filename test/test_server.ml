@@ -170,6 +170,134 @@ let test_wire_huge_graph_order_rejected () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
+(* ---------- wire byte image ---------- *)
+
+(* MD5 of one payload per request and response constructor, plus the
+   three bodiless outcomes. Two processes talk through these bytes, so
+   they are pinned independently of how Bitbuf moves its bits. [Join],
+   [R_stats] and [R_status] carry a 1-bit bool, so every field after it
+   starts off a byte boundary. *)
+
+let golden_addr_a = Wire.Unix_sock "/tmp/node-a.sock"
+let golden_addr_b = Wire.Tcp ("node-b.local", 7701)
+
+let golden_requests =
+  [ ("ping", Wire.Ping 12345, "63bbb65e61fd4fe63e19f67275d15811");
+    ("stats", Wire.Stats, "047e185ec7e5f273766a2dd1f74f7032");
+    ("corpus_info", Wire.Corpus_info, "8c354408e623964e9ac53769dd198f89");
+    ("nth", Wire.Nth 7, "06dc61979c1c478086050715610048a1");
+    ("mem", Wire.Mem sample_matrix, "1d6c422cfa9e87ddfc144f221bd6109e");
+    ("rank", Wire.Rank sample_matrix, "032943ebba00558b9a2a011212c58331");
+    ("range_prefix", Wire.Range_prefix [| 1; 2 |],
+     "f9f614d4dd2065ad7c333ae4af7e2faf");
+    ("cgraph_of", Wire.Cgraph_of 3, "d2881741142d2ab79d31798f9393e784");
+    ("evaluate",
+     Wire.Evaluate
+       { scheme = "routing-tables"; graph_name = "petersen";
+         graph = sample_graph }, "be34872b5fb4844b619581c723509e83");
+    ("sleep_ms", Wire.Sleep_ms 250, "218b77c66021f845c4fcdf31d2db477f");
+    ("get_shard_map", Wire.Get_shard_map, "7047625657bc49be89664494b6dca0ee");
+    ("join",
+     Wire.Join { jn_addr = golden_addr_a; jn_ready = true;
+                 jn_checksum = 0x0123_4567_89AB_CDEFL },
+     "8edcdcc7119d56557696d52defc82c94");
+    ("leave", Wire.Leave golden_addr_b, "61badcb3a6f33626b22f754eee9d0130");
+    ("heartbeat",
+     Wire.Heartbeat { hb_addr = golden_addr_b; hb_version = 9;
+                      hb_checksum = 0x7EDC_BA98_7654_3210L },
+     "8c38584c31ffd6b8ac37b4217d6f5c58");
+    ("reshard_split", Wire.Reshard (Wire.Split 1),
+     "b69ed4889b11b6127f78c408a257c439");
+    ("reshard_merge", Wire.Reshard (Wire.Merge 0),
+     "c8f814f96e4e8fc10ee16f2dfaaab019");
+    ("handoff_done",
+     Wire.Handoff_done
+       { hd_addr = golden_addr_a; hd_lo = 4; hd_hi = 10;
+         hd_key = [| 1; 2; 1; 1; 1; 2 |]; hd_checksum = 42L },
+     "10583a26f63de36d9d8ed4745542765c");
+    ("cluster_status", Wire.Cluster_status,
+     "c836b70aaaad07d31d485f6a4669cf06") ]
+
+let golden_outcomes () =
+  let header =
+    { Umrs_store.Corpus.version = 1; variant = Canonical.Positional; p = 3;
+      q = 4; d = 3; count = 58; checksum = 0x0F1E_2D3C_4B5A_6978L }
+  in
+  let member i state =
+    { Wire.mi_addr = (if i = 0 then golden_addr_a else golden_addr_b);
+      mi_shard = i; mi_state = state; mi_in_map = i = 0;
+      mi_primary = true; mi_checksum = Int64.of_int (1000 + i);
+      mi_beat_age = 0.25 *. float_of_int (i + 1) }
+  in
+  let acquire =
+    Wire.Cmd_acquire { aq_lo = 4; aq_hi = 10; aq_donor = golden_addr_a;
+                       aq_map = Some sample_shard_map }
+  in
+  [ ("pong", Wire.Reply (Wire.R_pong 7), "6fef6f5f32618b91c3d5f0735017b66d");
+    ("stats", Wire.Reply (Wire.R_stats sample_stats),
+     "d3387f6c95ed74641d536d5ddcd8ba2b");
+    ("header", Wire.Reply (Wire.R_header header),
+     "522b2785e16d389da922494fdb671085");
+    ("matrix", Wire.Reply (Wire.R_matrix sample_matrix),
+     "3f11f9af48fa3713f289fbf71f617bfe");
+    ("found", Wire.Reply (Wire.R_found true),
+     "88833dad0b66f46d13f7c075ead5502f");
+    ("rank", Wire.Reply (Wire.R_rank 42), "79b565410ed2136db658c78d9cb7806e");
+    ("range", Wire.Reply (Wire.R_range (3, 9)),
+     "04b77b7913befeb91111b7e02c2b592f");
+    ("slice",
+     Wire.Reply (Wire.R_slice { sl_version = 5; sl_lo = 2; sl_hi = 8 }),
+     "7eb9d2926bf0ed267b237d3615f821c4");
+    ("graph", Wire.Reply (Wire.R_graph (Cgraph.of_matrix sample_matrix)),
+     "57877d0968551138ec920d118c1f9373");
+    ("evaluation",
+     Wire.Reply
+       (Wire.R_evaluation
+          (Scheme.evaluate Table_scheme.scheme ~graph_name:"petersen"
+             sample_graph)), "e569af541e75e474a3bdc72eb8520ad2");
+    ("slept", Wire.Reply (Wire.R_slept 250),
+     "a5f4ad7f8f7bc6db15ad1622ee791d79");
+    ("shard_map", Wire.Reply (Wire.R_shard_map sample_shard_map),
+     "570c4e48d9b742661475fdafc4c18d32");
+    ("joined",
+     Wire.Reply
+       (Wire.R_joined
+          { jr_shard = 1; jr_lo = 4; jr_hi = 10; jr_donor = golden_addr_b;
+            jr_checksum = 77L; jr_version = 6; jr_map = None }),
+     "182e2f9d79d43a89c5d4e1fbd18ea702");
+    ("heartbeat",
+     Wire.Reply
+       (Wire.R_heartbeat
+          { rh_version = 8; rh_known = true; rh_cmd = Some acquire }),
+     "191749fe15ef5e17c2ee91dc30cbd026");
+    ("status",
+     Wire.Reply
+       (Wire.R_status
+          { cs_version = 3; cs_published = true;
+            cs_members = [ member 0 Wire.Ready; member 1 Wire.Joining;
+                           member 2 Wire.Dead ] }),
+     "13646b720cdd5c1434a0a488009c6d52");
+    ("accepted", Wire.Reply (Wire.R_accepted "reshard started"),
+     "9a1f65bed9b1ec253b999b385e168561");
+    ("rejected", Wire.Rejected "no such record",
+     "d4932277185bd9d05aa3d361f131a033");
+    ("overloaded", Wire.Overloaded, "c61207b6d9acafddf9e67f037ee31cae");
+    ("timed_out", Wire.Timed_out, "580e81b6dfcd57f56384020873811321") ]
+
+let md5_hex b = Digest.to_hex (Digest.bytes b)
+
+let test_wire_golden_bytes () =
+  List.iteri
+    (fun i (name, req, expected) ->
+      let payload = Wire.encode_request ~id:(100 + i) ~deadline_ms:(9 * i) req in
+      Alcotest.(check string) ("request " ^ name) expected (md5_hex payload))
+    golden_requests;
+  List.iteri
+    (fun i (name, outcome, expected) ->
+      let payload = Wire.encode_outcome ~id:(200 + i) outcome in
+      Alcotest.(check string) ("outcome " ^ name) expected (md5_hex payload))
+    (golden_outcomes ())
+
 (* ---------- lru ---------- *)
 
 let test_lru () =
@@ -1031,6 +1159,7 @@ let suite =
     case "wire: outcomes round-trip" test_wire_outcome_roundtrip;
     case "wire: hello and framing" test_wire_hello_and_frames;
     case "wire: graph digest" test_graph_digest_ports_matter;
+    case "wire: byte image pinned per constructor" test_wire_golden_bytes;
     case "wire: impossible graph order rejected"
       test_wire_huge_graph_order_rejected;
     case "lru: eviction and promotion" test_lru;

@@ -116,6 +116,32 @@ let test_corpus_byte_identity_across_domains () =
       | [] -> assert false)
     instances
 
+(* MD5 of the (3,4,3) reference corpora in both variants and of the
+   Full corpus's index at the default stride. Records are Bitbuf byte
+   images, so these pin the on-disk formats independently of how
+   Bitbuf moves its bits. *)
+let test_corpus_golden_bytes () =
+  with_tmp_dir @@ fun dir ->
+  let p, q, d = (3, 4, 3) in
+  let md5 path = Digest.to_hex (Digest.file path) in
+  List.iter
+    (fun (variant, corpus_md5, index_md5) ->
+      let name = variant_label variant in
+      let path = Filename.concat dir (name ^ ".corpus") in
+      ignore (Builder.build ~variant ~p ~q ~d ~out:path ());
+      Alcotest.(check string) (name ^ " corpus") corpus_md5 (md5 path);
+      Option.iter
+        (fun expected ->
+          (match Query.build ~corpus:path () with
+          | Ok _ -> ()
+          | Error e -> Alcotest.fail (Query.error_to_string e));
+          Alcotest.(check string) (name ^ " index") expected
+            (md5 (Query.index_path path)))
+        index_md5)
+    [ (Canonical.Full, "a92e981e236bc685df6fe7a6ec515c7b",
+       Some "e2e155930997ffbabf1396858afa4761");
+      (Canonical.Positional, "02d5f32d4d1f9ded7aa7a7729c5989a9", None) ]
+
 let test_corpus_streaming_reader () =
   with_tmp_dir @@ fun dir ->
   let p, q, d = (2, 4, 3) in
@@ -518,6 +544,7 @@ let suite =
     case "record rejects bad input" test_record_rejects_bad_entry;
     case "corpus write/load roundtrip" test_corpus_roundtrip;
     case "corpus bytes independent of domains" test_corpus_byte_identity_across_domains;
+    case "corpus and index bytes pinned (3,4,3)" test_corpus_golden_bytes;
     case "corpus streaming reader order" test_corpus_streaming_reader;
     case "writer enforces sort order" test_writer_rejects_unsorted;
     case "verify detects damage" test_verify_detects_damage;
