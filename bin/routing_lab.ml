@@ -169,10 +169,9 @@ let route_cmd =
          ~pp_sep:(fun f () -> Format.pp_print_string f ", ")
          Routing_function.pp_header)
       t.Routing_function.headers;
-    pf "distance: %d (stretch %.3f)@."
-      (Bfs.dist (b.Scheme.rf).Routing_function.graph src dst)
-      (float_of_int t.Routing_function.hops
-      /. float_of_int (Bfs.dist (b.Scheme.rf).Routing_function.graph src dst))
+    let d = Bfs.dist b.Scheme.rf.Routing_function.graph src dst in
+    pf "distance: %d (stretch %.3f)@." d
+      (float_of_int t.Routing_function.hops /. float_of_int d)
   in
   let src = Arg.(value & opt int 0 & info [ "src" ] ~docv:"U" ~doc:"Source.") in
   let dst = Arg.(value & opt int 1 & info [ "dst" ] ~docv:"V" ~doc:"Destination.") in
@@ -940,16 +939,17 @@ let table2_cmd =
           Stretch_dist.measure ~cutoff ~pairs ~seed b.Scheme.rf
         in
         let meth = if d.Stretch_dist.ds_exact then "exact" else "sampled" in
+        let local, global = Scheme.memory b in
         if csv then
           pf "%s,%s,%d,%d,%d,%d,%d,%s,%.6f,%.6f,%.6f,%.6f,%.6f@."
             s.Scheme.name family (Graph.order g) (Graph.size g)
-            (Scheme.mem_local b) (Scheme.mem_global b)
+            local global
             d.Stretch_dist.ds_pairs meth d.Stretch_dist.ds_mean
             d.Stretch_dist.ds_p50 d.Stretch_dist.ds_p95
             d.Stretch_dist.ds_p99 d.Stretch_dist.ds_max
         else
           pf "%-14s %9d %11d %7.3f %7.3f %7.3f %7.3f %7.3f %9d %s@."
-            s.Scheme.name (Scheme.mem_local b) (Scheme.mem_global b)
+            s.Scheme.name local global
             d.Stretch_dist.ds_mean d.Stretch_dist.ds_p50
             d.Stretch_dist.ds_p95 d.Stretch_dist.ds_p99
             d.Stretch_dist.ds_max d.Stretch_dist.ds_pairs meth)

@@ -79,6 +79,96 @@ let parent_array ws =
   if not ws.parented then invalid_arg "Bfs.parent_array: the last search kept no parents";
   ws.parent
 
+(* ---------- point-to-point search ---------- *)
+
+(* One side of a bidirectional search: a workspace whose queue holds
+   every vertex within [level] of the side's root, in visit order, and
+   which has expanded all but the frontier [queue.(head .. reached-1)],
+   the vertices at distance exactly [level]. [arcs] is the sum of the
+   frontier's degrees. *)
+type side = { ws : workspace; mutable head : int; mutable level : int; mutable arcs : int }
+
+type pair_workspace = { fwd : side; bwd : side; mutable scanned : int }
+
+let side () = { ws = workspace (); head = 0; level = 0; arcs = 0 }
+let pair_workspace () = { fwd = side (); bwd = side (); scanned = 0 }
+let scanned pw = pw.scanned
+
+let start s g n root =
+  let ws = s.ws in
+  reset ws;
+  reserve ws n ~parents:false;
+  ws.dist.(root) <- 0;
+  ws.queue.(0) <- root;
+  ws.reached <- 1;
+  s.head <- 0;
+  s.level <- 0;
+  s.arcs <- Graph.degree g root
+
+(* Expand [s]'s frontier by one level. Returns [-1] when no arc meets
+   [o]'s ball, else the length of the walk through the first arc that
+   does: [s.level + 1] to its head, then the head's distance on [o].
+
+   Why that walk is shortest: let r and r' be the two sides' levels
+   before this step. Their balls B(root, r) and B(root', r') are
+   disjoint (an invariant: a level that meets nothing adds no vertex of
+   the other ball). A shortest root-root' path of length D <= r + r'
+   would have its vertex at distance min(r, D) from root in both, so
+   D >= r + r' + 1. The first meeting arc leaves a vertex at distance r
+   for a vertex w in B(root', r'); w is not in B(root', r' - 1), or
+   the vertex at distance r would lie in B(root', r'). So the walk has
+   length r + 1 + r', the lower bound. Only newly reached vertices are
+   looked up on [o]: one [s] already reached is not in [o]'s ball. *)
+let expand pw g s o =
+  let dist = s.ws.dist and queue = s.ws.queue and other = o.ws.dist in
+  let next = s.level + 1 and stop = s.ws.reached in
+  let tail = ref stop and arcs = ref 0 and met = ref (-1) and i = ref s.head in
+  while !met < 0 && !i < stop do
+    let row = Graph.neighbors g queue.(!i) in
+    incr i;
+    let k = ref 0 in
+    while !met < 0 && !k < Array.length row do
+      let w = row.(!k) in
+      incr k;
+      if dist.(w) = infinity then begin
+        if other.(w) <> infinity then met := next + other.(w)
+        else begin
+          dist.(w) <- next;
+          queue.(!tail) <- w;
+          incr tail;
+          arcs := !arcs + Graph.degree g w
+        end
+      end
+    done;
+    pw.scanned <- pw.scanned + !k
+  done;
+  s.head <- stop;
+  s.ws.reached <- !tail;
+  s.level <- next;
+  s.arcs <- !arcs;
+  !met
+
+let distance_between pw g u v =
+  let n = Graph.order g in
+  if u < 0 || u >= n || v < 0 || v >= n then invalid_arg "Bfs.distance_between: bad vertex";
+  start pw.fwd g n u;
+  start pw.bwd g n v;
+  pw.scanned <- 0;
+  if u = v then 0
+  else begin
+    let result = ref (-1) in
+    while !result < 0 do
+      (* the side with the cheaper frontier expands; a side whose level
+         reaches nothing new has exhausted its component *)
+      let s = if pw.fwd.arcs <= pw.bwd.arcs then pw.fwd else pw.bwd in
+      let o = if s == pw.fwd then pw.bwd else pw.fwd in
+      let met = expand pw g s o in
+      if met >= 0 then result := met
+      else if s.head = s.ws.reached then result := infinity
+    done;
+    !result
+  end
+
 (* A fresh workspace sizes its arrays to the graph's order exactly, so
    a one-off search can hand them out as its result. *)
 let distances g src =
@@ -110,7 +200,7 @@ let all_pairs g =
   let ws = workspace () in
   Array.init (Graph.order g) (distances_with ws g)
 
-let dist g u v = (distances g u).(v)
+let dist g u v = distance_between (pair_workspace ()) g u v
 
 let shortest_path g u v =
   let dist, parent = distances_with_parents g u in

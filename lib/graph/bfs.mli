@@ -6,7 +6,10 @@
     Every search in this module runs one kernel ({!search}): an
     array-backed FIFO queue that reads the graph's own adjacency rows
     ({!Graph.neighbors}) in port order, so it allocates nothing per
-    vertex or arc. Parents are the first discoverer in port order. *)
+    vertex or arc. Parents are the first discoverer in port order. The
+    one exception is the point-to-point distance ({!distance_between},
+    {!dist}), a bidirectional search on the same rows that stops where
+    its two sides meet. *)
 
 val infinity : int
 (** Distance of unreachable vertices ([max_int]). *)
@@ -58,6 +61,46 @@ val distances_with : workspace -> Graph.t -> Graph.vertex -> int array
 (** [distances_with ws g src] is [distances g src] computed on [ws]: a
     fresh array of length [order g], but no queue allocated. *)
 
+(** {1 Point-to-point distance} *)
+
+type pair_workspace
+(** Reusable state for one point-to-point search at a time: per side a
+    distance array and a queue. Like a {!workspace} it resets in
+    O(vertices the last search reached), grows to the largest order
+    searched and is single-threaded; a search on a warm pair workspace
+    allocates nothing. *)
+
+val pair_workspace : unit -> pair_workspace
+(** An empty pair workspace; the first search sizes it. *)
+
+val distance_between : pair_workspace -> Graph.t -> Graph.vertex -> Graph.vertex -> int
+(** [distance_between pw g u v] is the hop distance from [u] to [v]
+    ([infinity] if [v] is unreachable, [0] if [u = v]), by a
+    bidirectional BFS: a search from [u] and one from [v] take turns,
+    each turn expanding one whole level of the side whose frontier has
+    fewer arcs (the sum of its degrees). The first arc from the
+    expanding side into a vertex the other side has reached ends the
+    search, and the distance is exact: until that level the two balls
+    were disjoint, so [d(u,v)] is at least the expanding side's new
+    level plus the other side's level, and that arc closes a walk of
+    exactly that length. A side whose level reaches nothing new has
+    exhausted its component: [infinity].
+
+    Cost: the arcs the two balls scan ({!scanned}), never more than
+    the [2m] of one full BFS, since each vertex is expanded by at most
+    one side. On graphs of small diameter that is a small share: over
+    2,000 seeded pairs of a seeded Barabasi-Albert graph (m = 2), 57
+    of 7,994 arcs at n = 2,000 and 403 of 399,994 at n = 10^5. On a
+    path or grid both balls grow to half the distance (1,992 of 6,240
+    arcs on a 40x40 grid), so a full {!search} from [u] serves several
+    destinations more cheaply. Raises [Invalid_argument] on a bad
+    vertex. *)
+
+val scanned : pair_workspace -> int
+(** The arcs the last {!distance_between} on this workspace scanned
+    ([0] when [u = v]): its work, comparable with the [2 * size g] arcs
+    of one full {!search}. *)
+
 (** {1 One-off searches} *)
 
 val distances : Graph.t -> Graph.vertex -> int array
@@ -80,7 +123,10 @@ val all_pairs : Graph.t -> int array array
     workspace). *)
 
 val dist : Graph.t -> Graph.vertex -> Graph.vertex -> int
-(** One-off distance query (runs a BFS). *)
+(** One-off distance query: {!distance_between} on a fresh
+    {!pair_workspace}, which allocates four arrays of [order g] and
+    scans only the two balls. Raises [Invalid_argument] on a bad
+    vertex. *)
 
 val shortest_path : Graph.t -> Graph.vertex -> Graph.vertex -> Graph.vertex list option
 (** [shortest_path g u v] is a shortest path [u; ...; v] if any. *)

@@ -17,8 +17,12 @@ let mem_at b v = Umrs_bitcode.Bitbuf.length (b.local_encoding v)
 let mem_profile b =
   Array.init (Graph.order b.rf.Routing_function.graph) (mem_at b)
 
-let mem_local b = Array.fold_left max 0 (mem_profile b)
-let mem_global b = Array.fold_left ( + ) 0 (mem_profile b)
+let memory b =
+  let profile = mem_profile b in
+  (Array.fold_left max 0 profile, Array.fold_left ( + ) 0 profile)
+
+let mem_local b = fst (memory b)
+let mem_global b = snd (memory b)
 
 type evaluation = {
   scheme_name : string;
@@ -36,14 +40,15 @@ let evaluate ?dist scheme ~graph_name g =
     match dist with Some d -> d | None -> Dist_cache.distances g
   in
   let b = scheme.build g in
+  let mem_local_bits, mem_global_bits = memory b in
   let e =
     {
       scheme_name = scheme.name;
       graph_name;
       order = Graph.order g;
       edges = Graph.size g;
-      mem_local_bits = mem_local b;
-      mem_global_bits = mem_global b;
+      mem_local_bits;
+      mem_global_bits;
       stretch = Routing_function.stretch ~dist b.rf;
     }
   in

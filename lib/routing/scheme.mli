@@ -35,7 +35,12 @@ val mem_global : built -> int
 (** [sum_x MEM(x)]. *)
 
 val mem_profile : built -> int array
-(** Per-vertex bit counts. *)
+(** Per-vertex bit counts. Each call encodes every router, as do
+    {!mem_local} and {!mem_global}. *)
+
+val memory : built -> int * int
+(** [(mem_local b, mem_global b)] from one {!mem_profile}: one encoding
+    of every router for both. *)
 
 type evaluation = {
   scheme_name : string;

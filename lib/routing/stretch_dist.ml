@@ -30,16 +30,29 @@ let of_ratios ~exact ratios =
 let exact ?dist rf =
   of_ratios ~exact:true (Routing_function.stretch_ratios ?dist rf)
 
+(* One domain's distance searches: a workspace for full BFSs, one for
+   pair searches, and the pair searches run so far with the arcs they
+   scanned. *)
+type searcher = {
+  ws : Bfs.workspace;
+  pw : Bfs.pair_workspace;
+  mutable searches : int;
+  mutable scanned : int;
+}
+
+let searcher () =
+  { ws = Bfs.workspace (); pw = Bfs.pair_workspace (); searches = 0; scanned = 0 }
+
 let sampled ?(seed = 0xD157) ?(pairs = default_sample_pairs) ?domains rf =
   let g = rf.Routing_function.graph in
   let n = Graph.order g in
   if n < 2 then invalid_arg "Stretch_dist.sampled: need n >= 2";
   let pairs = max 1 pairs in
   (* Draw the pair sample up front (seeded, sequential), group the
-     destinations by source, then fan the per-source BFS + routes out
-     over domains, one BFS workspace each. The result is a
-     deterministic function of the seed regardless of the domain
-     count. *)
+     destinations by source, then fan the sources' distance searches +
+     routes out over domains, one searcher each. Every distance is
+     exact whichever search finds it, so the result is a deterministic
+     function of the seed regardless of the domain count. *)
   let st = Random.State.make [| seed; n; pairs; 0xD157 |] in
   let by_src = Array.make n [] in
   for _ = 1 to pairs do
@@ -54,17 +67,32 @@ let sampled ?(seed = 0xD157) ?(pairs = default_sample_pairs) ?domains rf =
     Array.of_list
       (List.filter (fun u -> by_src.(u) <> []) (List.init n Fun.id))
   in
+  let bfs_arcs = 2 * Graph.size g in
   let per_source =
-    Parallel.map_range_with ?domains ~init:Bfs.workspace (Array.length sources)
-      (fun ws i ->
+    Parallel.map_range_with ?domains ~init:searcher (Array.length sources)
+      (fun s i ->
         let u = sources.(i) in
-        Bfs.search ws g u;
-        let d = Bfs.dist_array ws in
-        List.rev_map
-          (fun v ->
-            let dr = Routing_function.route_length rf u v in
-            float_of_int dr /. float_of_int d.(v))
-          by_src.(u))
+        let dsts = by_src.(u) in
+        let ratio v d =
+          float_of_int (Routing_function.route_length rf u v) /. float_of_int d
+        in
+        (* One full BFS once the destinations' pair searches would scan
+           at least its arcs, at the mean this domain has observed; the
+           first source probes with pair searches. *)
+        if s.searches > 0 && List.length dsts * s.scanned >= bfs_arcs * s.searches
+        then begin
+          Bfs.search s.ws g u;
+          let d = Bfs.dist_array s.ws in
+          List.rev_map (fun v -> ratio v d.(v)) dsts
+        end
+        else
+          List.rev_map
+            (fun v ->
+              let d = Bfs.distance_between s.pw g u v in
+              s.searches <- s.searches + 1;
+              s.scanned <- s.scanned + Bfs.scanned s.pw;
+              ratio v d)
+            dsts)
   in
   let ratios = Array.make pairs 1.0 in
   let k = ref 0 in

@@ -215,11 +215,83 @@ let reused_equals_fresh run =
         searches)
     run
 
+(* ---------- the pair search against the kernel ---------- *)
+
+(* Seeded BA, grid, path, random-tree and random connected graphs, and
+   disjoint unions of two of them, so that some pairs are unreachable. *)
+let pair_graph st =
+  let one () =
+    let n = 1 + Random.State.int st 60 in
+    match Random.State.int st 5 with
+    | 0 -> Generators.barabasi_albert st ~n:(n + 2) ~m:(1 + Random.State.int st 2)
+    | 1 -> Generators.grid (1 + Random.State.int st 9) (1 + Random.State.int st 9)
+    | 2 -> Generators.path n
+    | 3 -> Generators.random_tree st n
+    | _ ->
+      Generators.random_connected st ~n ~m:(min (n * (n - 1) / 2) (n - 1 + Random.State.int st n))
+  in
+  if Random.State.int st 3 = 0 then Graph.disjoint_union (one ()) (one ()) else one ()
+
+(* A seeded run of graphs, their orders rising and falling, each with
+   random pairs and one pair u = u. *)
+let pair_run =
+  let print (g, pairs) =
+    Gen.print_graph g ^ "\n  pairs "
+    ^ String.concat " " (List.map (fun (u, v) -> Printf.sprintf "%d-%d" u v) pairs)
+  in
+  Gen.make
+    ~print:(fun run -> String.concat "\n" (List.map print run))
+    (fun st ->
+      List.init (2 + Random.State.int st 5) (fun _ ->
+          let g = pair_graph st in
+          let n = Graph.order g in
+          let u = Random.State.int st n in
+          (g, (u, u) :: List.init 12 (fun _ -> (Random.State.int st n, Random.State.int st n)))))
+
+(* One pair workspace through the whole run agrees with a full BFS on
+   every pair, and scans at most the arcs of one: the two balls it
+   expands are disjoint. *)
+let pairs_match_kernel run =
+  let pw = Bfs.pair_workspace () in
+  List.for_all
+    (fun (g, pairs) ->
+      List.for_all
+        (fun (u, v) ->
+          let d = (Bfs.distances g u).(v) in
+          Bfs.distance_between pw g u v = d
+          && Bfs.scanned pw <= 2 * Graph.size g
+          && (u <> v || Bfs.scanned pw = 0)
+          && Bfs.dist g u v = d)
+        pairs)
+    run
+
+let test_pair_edges () =
+  let pw = Bfs.pair_workspace () in
+  check_int "n = 1" 0 (Bfs.distance_between pw (Graph.empty 1) 0 0);
+  let two = Graph.disjoint_union (Generators.path 4) (Generators.grid 3 3) in
+  check_true "two components" (Bfs.distance_between pw two 1 9 = Bfs.infinity);
+  check_true "two components, other way" (Bfs.distance_between pw two 12 0 = Bfs.infinity);
+  check_int "within the second" 4 (Bfs.distance_between pw two 4 12);
+  let long = Generators.path 5000 in
+  check_int "ends of a path" 4999 (Bfs.distance_between pw long 0 4999);
+  check_int "ends of a path, reversed" 4999 (Bfs.distance_between pw long 4999 0);
+  check_true "the ends' balls scan one BFS's arcs at most"
+    (Bfs.scanned pw <= 2 * Graph.size long);
+  List.iter
+    (fun (name, u, v) ->
+      check_true name
+        (try ignore (Bfs.distance_between pw long u v); false
+         with Invalid_argument _ -> true);
+      check_true ("dist: " ^ name)
+        (try ignore (Bfs.dist long u v); false with Invalid_argument _ -> true))
+    [ ("bad source", -1, 0); ("bad destination", 0, 5000) ]
+
 (* Like [canonical_rows allocates nothing per call]: a warm workspace
    searches without touching the minor heap. *)
 let test_warm_search_allocates_nothing () =
   let g = Generators.barabasi_albert (rng ()) ~n:500 ~m:2 in
   let ws = Bfs.workspace () in
+  let pw = Bfs.pair_workspace () in
   List.iter
     (fun (name, run) ->
       run 0;
@@ -234,6 +306,7 @@ let test_warm_search_allocates_nothing () =
       ("plain", fun src -> Bfs.search ws g src);
       ("parents", fun src -> Bfs.search ~parents:true ws g src);
       ("bounded", fun src -> Bfs.search ~radius:3 ws g src);
+      ("pair", fun src -> ignore (Bfs.distance_between pw g src ((src * 7) mod 500)));
     ]
 
 let test_kernel_edges () =
@@ -282,6 +355,8 @@ let suite =
     Gen.prop ~count:60 "bounded search = ball in BFS order" bfs_graph bounded_is_ball;
     Gen.prop ~count:60 "one workspace across sources and orders" search_run
       reused_equals_fresh;
+    Gen.prop ~count:100 "pair search = kernel, one workspace" pair_run pairs_match_kernel;
+    case "pair search edge cases" test_pair_edges;
     case "warm search allocates nothing" test_warm_search_allocates_nothing;
     case "kernel edge cases" test_kernel_edges;
   ]

@@ -267,8 +267,12 @@ let test_stretch_dist_exact_vs_sampled () =
     (sa.Stretch_dist.ds_max <= ex.Stretch_dist.ds_max +. 1e-9);
   (* domain count must not change the sampled result *)
   let s1 = Stretch_dist.sampled ~seed:5 ~pairs:500 ~domains:1 b.Scheme.rf in
-  let s4 = Stretch_dist.sampled ~seed:5 ~pairs:500 ~domains:4 b.Scheme.rf in
-  check_true "domain-independent" (s1 = s4);
+  List.iter
+    (fun domains ->
+      check_true
+        (Printf.sprintf "domain-independent at %d domains" domains)
+        (Stretch_dist.sampled ~seed:5 ~pairs:500 ~domains b.Scheme.rf = s1))
+    [ 2; 4 ];
   (* measure switches on the cutoff *)
   check_true "measure exact under cutoff"
     (Stretch_dist.measure ~cutoff:100 b.Scheme.rf).Stretch_dist.ds_exact;
@@ -276,6 +280,55 @@ let test_stretch_dist_exact_vs_sampled () =
     (not
        (Stretch_dist.measure ~cutoff:10 ~pairs:200 b.Scheme.rf)
          .Stretch_dist.ds_exact)
+
+(* Int64.bits_of_float of a sampled summary's mean, p50, p95, p99 and
+   max, recorded when Stretch_dist.sampled ran one full BFS per sampled
+   source. Every distance it measures is exact, so no way of measuring
+   them may move a bit. *)
+let check_pinned name expected (s : Stretch_dist.summary) =
+  Alcotest.(check (list int64))
+    name expected
+    (List.map Int64.bits_of_float
+       Stretch_dist.[ s.ds_mean; s.ds_p50; s.ds_p95; s.ds_p99; s.ds_max ])
+
+(* perfbench's compact-routing inputs at seed 1: 2,000 pairs on 2,000
+   vertices give most sources one destination. *)
+let test_sampled_pinned_internet () =
+  let st = Random.State.make [| 1; 0xC0417 |] in
+  let ba = Generators.barabasi_albert st ~n:2000 ~m:2 in
+  let cl = Generators.chung_lu st ~n:2000 ~exponent:2.5 in
+  List.iter
+    (fun (name, g, build, expected) ->
+      check_pinned name expected
+        (Stretch_dist.sampled ~seed:1 ~pairs:2000 (build g).Scheme.rf))
+    [
+      ( "tz-3 on BA", ba, (fun g -> Tz_scheme.build g),
+        [ 0x3ff29cd2babd1457L; 0x3ff0000000000000L; 0x3ffaaaaaaaaaaaabL;
+          0x4000000000000000L; 0x4005555555555555L ] );
+      ( "landmark-3 on BA", ba, (fun g -> Landmark_scheme.build g),
+        [ 0x3ff2d7e0f2cb975dL; 0x3ff0000000000000L; 0x3ffaaaaaaaaaaaabL;
+          0x4000000000000000L; 0x4002aaaaaaaaaaabL ] );
+      ( "tz-3 on Chung-Lu", cl, (fun g -> Tz_scheme.build g),
+        [ 0x3ff1dc6edd75024eL; 0x3ff0000000000000L; 0x3ff8000000000000L;
+          0x3ffc000000000000L; 0x4004000000000000L ] );
+      ( "landmark-3 on Chung-Lu", cl, (fun g -> Landmark_scheme.build g),
+        [ 0x3ff23cc42a77e6f3L; 0x3ff0000000000000L; 0x3ffaaaaaaaaaaaabL;
+          0x3ffaaaaaaaaaaaabL; 0x4004000000000000L ] );
+    ]
+
+(* A 40x40 grid with the default 20,000 pairs: about 12 destinations
+   per source on a large-diameter graph, so most sources take one full
+   BFS and the rest pair searches, at every domain count. *)
+let test_sampled_pinned_grid () =
+  let rf = (Tz_scheme.build (Generators.grid 40 40)).Scheme.rf in
+  List.iter
+    (fun domains ->
+      check_pinned
+        (Printf.sprintf "tz-3 on grid 40x40, %d domains" domains)
+        [ 0x3ff1531657fb966aL; 0x3ff0000000000000L; 0x3ff6666666666666L;
+          0x3ffc71c71c71c71cL; 0x4008000000000000L ]
+        (Stretch_dist.sampled ~domains rf))
+    [ 1; 2; 4 ]
 
 (* ---------- golden encodings ---------- *)
 
@@ -412,6 +465,8 @@ let suite =
     case "memory below landmark-3 on BA" test_memory_below_landmark_on_ba;
     case "stretch report quantiles ordered" test_stretch_report_quantiles;
     case "stretch distributions exact vs sampled" test_stretch_dist_exact_vs_sampled;
+    case "sampled summaries pinned: BA, Chung-Lu" test_sampled_pinned_internet;
+    case "sampled summaries pinned: grid 40x40" test_sampled_pinned_grid;
     case "golden encodings and routes" test_golden_encodings;
     Gen.prop ~count:2000 "core: stretch 3 and transposed tables, any landmark set"
       graph_with_landmarks core_holds;
