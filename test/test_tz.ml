@@ -465,8 +465,6 @@ let suite =
     case "memory below landmark-3 on BA" test_memory_below_landmark_on_ba;
     case "stretch report quantiles ordered" test_stretch_report_quantiles;
     case "stretch distributions exact vs sampled" test_stretch_dist_exact_vs_sampled;
-    case "sampled summaries pinned: BA, Chung-Lu" test_sampled_pinned_internet;
-    case "sampled summaries pinned: grid 40x40" test_sampled_pinned_grid;
     case "golden encodings and routes" test_golden_encodings;
     Gen.prop ~count:2000 "core: stretch 3 and transposed tables, any landmark set"
       graph_with_landmarks core_holds;
@@ -474,4 +472,6 @@ let suite =
       arbitrary_connected_graph (fun g ->
         Routing_function.stretch_at_most (Tz_scheme.build g).Scheme.rf ~num:3
           ~den:1);
+    case "sampled summaries pinned: BA, Chung-Lu" test_sampled_pinned_internet;
+    case "sampled summaries pinned: grid 40x40" test_sampled_pinned_grid;
   ]
