@@ -60,10 +60,10 @@ let report_table1 ~fast () =
           pf "%-18s %-18s %5d %6d %9d %10d %8.3f %8.3f %8.3f %8.3f@."
             e.Scheme.scheme_name e.Scheme.graph_name e.Scheme.order
             e.Scheme.edges e.Scheme.mem_local_bits e.Scheme.mem_global_bits
-            e.Scheme.stretch.Routing_function.max_ratio
-            e.Scheme.stretch.Routing_function.mean_ratio
-            e.Scheme.stretch.Routing_function.p50_ratio
-            e.Scheme.stretch.Routing_function.p95_ratio)
+            e.Scheme.stretch.Stretch_dist.ds_max
+            e.Scheme.stretch.Stretch_dist.ds_mean
+            e.Scheme.stretch.Stretch_dist.ds_p50
+            e.Scheme.stretch.Stretch_dist.ds_p95)
         corpus)
     schemes_for_table;
   pf "@.Reading: stretch-1 schemes (tables, interval) sit on the s=1 row;@.";
@@ -383,12 +383,12 @@ let report_upper_bounds ~fast () =
   section "U1. Section 1 upper bounds: specialized schemes";
   let rows = ref [] in
   let add name built =
-    let stretch = Routing_function.stretch built.Scheme.rf in
+    let stretch = Stretch_dist.exact built.Scheme.rf in
     rows :=
       ( name,
         Graph.order built.Scheme.rf.Routing_function.graph,
         Scheme.mem_local built,
-        stretch.Routing_function.max_ratio )
+        stretch.Stretch_dist.ds_max )
       :: !rows
   in
   let dim = if fast then 4 else 6 in
@@ -474,9 +474,8 @@ let report_ablation_balance ~fast () =
   List.iter
     (fun scheme ->
       let b = scheme.Scheme.build g in
-      pf "  %-18s %s@." scheme.Scheme.name
-        (Quantile.summary
-           (Quantile.of_array (Routing_function.stretch_ratios b.Scheme.rf))))
+      pf "  %-18s %a@." scheme.Scheme.name Stretch_dist.pp
+        (Stretch_dist.exact b.Scheme.rf))
     [ Landmark_scheme.scheme; Spanner_scheme.scheme ~k:2;
       Hierarchical_scheme.scheme; Tree_cover_scheme.scheme ];
   pf "@.";
@@ -514,9 +513,9 @@ let report_ablation_landmarks ~fast () =
   List.iter
     (fun (name, strategy) ->
       let b = Landmark_scheme.build ~strategy g in
-      let st = Routing_function.stretch b.Scheme.rf in
+      let st = Stretch_dist.exact b.Scheme.rf in
       pf "  %-14s %10d %10d %12.3f@." name (Scheme.mem_local b)
-        (Scheme.mem_global b) st.Routing_function.max_ratio)
+        (Scheme.mem_global b) st.Stretch_dist.ds_max)
     [
       ("random", Landmark_scheme.Random_landmarks);
       ("high-degree", Landmark_scheme.High_degree);
@@ -572,10 +571,10 @@ let report_extension_weights ~fast () =
   let sh = Weighted_tables.stretch w hop.Scheme.rf in
   pf "random graph n=%d, m=%d, edge costs 1..9:@." n (2 * n);
   pf "  weighted tables: weighted stretch %.3f (mean %.3f), %d bits local@."
-    sw.Weighted_tables.max_ratio sw.Weighted_tables.mean_ratio
+    sw.Stretch_dist.ds_max sw.Stretch_dist.ds_mean
     (Scheme.mem_local weighted);
   pf "  hop tables:      weighted stretch %.3f (mean %.3f), %d bits local@."
-    sh.Weighted_tables.max_ratio sh.Weighted_tables.mean_ratio
+    sh.Stretch_dist.ds_max sh.Stretch_dist.ds_mean
     (Scheme.mem_local hop);
   pf "same memory, but cost-blind routing pays real stretch under@.";
   pf "non-uniform costs - why [1],[2] treat weighted arcs explicitly.@."

@@ -37,30 +37,29 @@ let check_graph name g ~mean_limit =
   (* the TZ memory bound: O(n^(3/2)) table entries of O(log n) bits *)
   let log2n = Umrs_bitcode.Codes.ceil_log2 (max 2 n) in
   let bound = 12 * int_of_float (float_of_int n ** 1.5) * log2n in
-  let global = Scheme.mem_global b in
+  (* one encoding of every router per scheme, for both memory columns *)
+  let local, global = Scheme.memory b in
   if global > bound then
     die "%s: global memory %d bits above the TZ bound %d" name global bound;
-  let lm = Landmark_scheme.build g in
-  if global >= Scheme.mem_global lm then
-    die "%s: global memory %d not below landmark-3's %d" name global
-      (Scheme.mem_global lm);
-  if Scheme.mem_local b >= Scheme.mem_local lm then
-    die "%s: local memory %d not below landmark-3's %d" name
-      (Scheme.mem_local b) (Scheme.mem_local lm);
+  let lm_local, lm_global = Scheme.memory (Landmark_scheme.build g) in
+  if global >= lm_global then
+    die "%s: global memory %d not below landmark-3's %d" name global lm_global;
+  if local >= lm_local then
+    die "%s: local memory %d not below landmark-3's %d" name local lm_local;
   Printf.printf
     "%-14s n=%d mean=%.3f p50=%.3f p95=%.3f max=%.3f local=%d global=%d \
      (landmark-3: %d/%d)\n"
     name n d.Stretch_dist.ds_mean d.Stretch_dist.ds_p50
-    d.Stretch_dist.ds_p95 d.Stretch_dist.ds_max (Scheme.mem_local b) global
-    (Scheme.mem_local lm) (Scheme.mem_global lm);
-  (b, d)
+    d.Stretch_dist.ds_p95 d.Stretch_dist.ds_max local global lm_local
+    lm_global;
+  (b, d, global)
 
 let () =
   let st = Random.State.make [| 0x72; 0x5EED |] in
   let ba = Generators.barabasi_albert st ~n:256 ~m:2 in
   let pl = Generators.chung_lu st ~n:256 ~exponent:2.5 in
-  let b_ba, d_ba = check_graph "ba-256" ba ~mean_limit:(Some 1.5) in
-  let _b_pl, d_pl = check_graph "powerlaw-256" pl ~mean_limit:None in
+  let b_ba, d_ba, global_ba = check_graph "ba-256" ba ~mean_limit:(Some 1.5) in
+  let _b_pl, d_pl, _ = check_graph "powerlaw-256" pl ~mean_limit:None in
   (* timing benches, gated loosely (build/route jitter across machines) *)
   B.Harness.register ~name:"tz/build(ba-256)"
     ~budget:{ B.Harness.warmup = 1; min_iters = 3; max_iters = 15;
@@ -93,8 +92,7 @@ let () =
           ("ba_p95_stretch", B.Json.Num d_ba.Stretch_dist.ds_p95);
           ("ba_max_stretch", B.Json.Num d_ba.Stretch_dist.ds_max);
           ("powerlaw_mean_stretch", B.Json.Num d_pl.Stretch_dist.ds_mean);
-          ("ba_mem_global_bits",
-           B.Json.Num (float_of_int (Scheme.mem_global b_ba))) ]
+          ("ba_mem_global_bits", B.Json.Num (float_of_int global_ba)) ]
       ()
   in
   B.Cli.finish ~default_json:"BENCH_tz.json" report;

@@ -9,6 +9,14 @@ open Umrs_core
 
 let pf fmt = Format.printf fmt
 
+(* A caller mistake: one line on stderr naming the bad value, exit 2. *)
+let usage_error fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline ("routing_lab: " ^ msg);
+      exit 2)
+    fmt
+
 (* ---------- shared converters ---------- *)
 
 let graph_of_family ~seed family size =
@@ -33,11 +41,9 @@ let graph_of_family ~seed family size =
     let path = String.sub f 5 (String.length f - 5) in
     (try Graph_io.load ~path with
     | Sys_error msg ->
-      Printf.eprintf "routing_lab: cannot load graph file %S: %s\n" path msg;
-      exit 2
+      usage_error "cannot load graph file %S: %s" path msg
     | Invalid_argument msg ->
-      Printf.eprintf "routing_lab: %S is not a valid graph file: %s\n" path msg;
-      exit 2)
+      usage_error "%S is not a valid graph file: %s" path msg)
   | "tree" -> Generators.random_tree st size
   | "caterpillar" ->
     Generators.caterpillar st ~spine:(max 1 (size / 2)) ~legs:(size / 2)
@@ -60,37 +66,27 @@ let graph_of_family ~seed family size =
   | "ba" -> Generators.barabasi_albert st ~n:size ~m:2
   | "ba3" -> Generators.barabasi_albert st ~n:size ~m:3
   | "powerlaw" -> Generators.chung_lu st ~n:size ~exponent:2.5
-  | other -> invalid_arg (Printf.sprintf "unknown graph family %S" other)
+  | other -> usage_error "unknown graph family %S (see --help)" other
+
+(* -s and --schemes take a Scheme.name: the registry's universal
+   schemes, then the partial ones. *)
+let schemes ~seed =
+  Registry.universal ()
+  @ [ Specialized.ecube; Specialized.ring;
+      { Scheme.name = "kn-adversarial"; stretch_bound = Some 1.0;
+        build =
+          (fun g ->
+            Specialized.build_complete_adversarial
+              (Random.State.make [| seed |]) g) } ]
+
+let scheme_names = List.map (fun s -> s.Scheme.name) (schemes ~seed:0)
 
 let scheme_of_name ~seed name =
-  match name with
-  | "tables" -> Table_scheme.scheme
-  | "tables-rle" -> Compressed_tables.scheme
-  | "tree-cover" -> Tree_cover_scheme.scheme
-  | "interval" -> Interval_routing.scheme
-  | "interval-id" -> Interval_routing.scheme_identity
-  | "landmark" -> Landmark_scheme.scheme
-  | "tz" -> Tz_scheme.scheme
-  | "spanner3" -> Spanner_scheme.scheme ~k:2
-  | "spanner5" -> Spanner_scheme.scheme ~k:3
-  | "ecube" ->
-    { Scheme.name = "ecube"; stretch_bound = Some 1.0;
-      build = Specialized.build_ecube }
-  | "ring" ->
-    { Scheme.name = "ring"; stretch_bound = Some 1.0;
-      build = Specialized.build_ring }
-  | "hierarchical" -> Hierarchical_scheme.scheme
-  | "kn-adversarial" ->
-    {
-      Scheme.name = "kn-adversarial";
-      stretch_bound = Some 1.0;
-      build =
-        (fun g ->
-          Specialized.build_complete_adversarial
-            (Random.State.make [| seed |])
-            g);
-    }
-  | other -> invalid_arg (Printf.sprintf "unknown scheme %S" other)
+  match List.find_opt (fun s -> s.Scheme.name = name) (schemes ~seed) with
+  | Some s -> s
+  | None ->
+    usage_error "unknown scheme %S (known: %s)" name
+      (String.concat ", " scheme_names)
 
 let family_arg =
   let doc =
@@ -109,12 +105,9 @@ let seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
 
 let scheme_arg =
-  let doc =
-    "Routing scheme: tables, tables-rle, interval, interval-id, landmark, \
-     tz, spanner3, spanner5, hierarchical, tree-cover, ecube, ring, \
-     kn-adversarial."
-  in
-  Arg.(value & opt string "tables" & info [ "s"; "scheme" ] ~docv:"SCHEME" ~doc)
+  let doc = "Routing scheme: " ^ String.concat ", " scheme_names ^ "." in
+  Arg.(value & opt string "routing-tables"
+       & info [ "s"; "scheme" ] ~docv:"SCHEME" ~doc)
 
 let matrix_arg =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"MATRIX"
@@ -157,6 +150,14 @@ let route_cmd =
   let run family size seed scheme_name src dst =
     let g = graph_of_family ~seed family size in
     let scheme = scheme_of_name ~seed scheme_name in
+    let n = Graph.order g in
+    List.iter
+      (fun (flag, v) ->
+        if v < 0 || v >= n then
+          usage_error "route: %s %d is not a vertex of %s (n = %d)" flag v
+            family n)
+      [ ("--src", src); ("--dst", dst) ];
+    if src = dst then usage_error "route: --src and --dst are both %d" src;
     let b = scheme.Scheme.build g in
     let t = Routing_function.route b.Scheme.rf src dst in
     pf "route %d -> %d (%d hops): %a@." src dst t.Routing_function.hops
@@ -312,8 +313,7 @@ let corpus_cmd =
         pf "checksum %016Lx@."
           o.Umrs_store.Builder.o_header.Umrs_store.Corpus.checksum
       | exception Invalid_argument msg ->
-        Printf.eprintf "routing_lab: corpus build: %s\n" msg;
-        exit 2
+        usage_error "corpus build: %s" msg
     in
     let p = Arg.(value & opt int 2 & info [ "p" ] ~doc:"Rows.") in
     let q = Arg.(value & opt int 2 & info [ "q" ] ~doc:"Columns.") in
@@ -352,11 +352,9 @@ let corpus_cmd =
       match Umrs_store.Corpus.info ~path with
       | h -> pp_header h
       | exception Invalid_argument msg ->
-        Printf.eprintf "routing_lab: corpus info: %s: %s\n" path msg;
-        exit 2
+        usage_error "corpus info: %s: %s" path msg
       | exception Sys_error msg ->
-        Printf.eprintf "routing_lab: corpus info: %s\n" msg;
-        exit 2
+        usage_error "corpus info: %s" msg
     in
     Cmd.v
       (Cmd.info "info" ~doc:"Print a corpus file's header.")
@@ -378,11 +376,9 @@ let corpus_cmd =
           exit 1
         end
       | exception Invalid_argument msg ->
-        Printf.eprintf "routing_lab: corpus verify: %s: %s\n" path msg;
-        exit 2
+        usage_error "corpus verify: %s: %s" path msg
       | exception Sys_error msg ->
-        Printf.eprintf "routing_lab: corpus verify: %s\n" msg;
-        exit 2
+        usage_error "corpus verify: %s" msg
     in
     Cmd.v
       (Cmd.info "verify"
@@ -400,11 +396,9 @@ let corpus_cmd =
           path;
         List.iter (fun m -> pf "%s@." (Matrix.to_string m)) set
       | exception Invalid_argument msg ->
-        Printf.eprintf "routing_lab: corpus show: %s: %s\n" path msg;
-        exit 2
+        usage_error "corpus show: %s: %s" path msg
       | exception Sys_error msg ->
-        Printf.eprintf "routing_lab: corpus show: %s\n" msg;
-        exit 2
+        usage_error "corpus show: %s" msg
     in
     Cmd.v
       (Cmd.info "show"
@@ -435,8 +429,7 @@ let corpus_cmd =
           m.Umrs_store.Query.x_checksum m.Umrs_store.Query.x_corpus_checksum
       | Error e -> fail_query_error "index" e
       | exception Invalid_argument msg ->
-        Printf.eprintf "routing_lab: corpus index: %s\n" msg;
-        exit 2
+        usage_error "corpus index: %s" msg
     in
     let stride =
       Arg.(value & opt (some int) None & info [ "stride" ] ~docv:"N"
@@ -461,9 +454,7 @@ let corpus_cmd =
       in
       try Array.of_list (List.map int_of_string fields)
       with Failure _ ->
-        Printf.eprintf
-          "routing_lab: corpus query: bad prefix %S (expected integers)\n" s;
-        exit 2
+        usage_error "corpus query: bad prefix %S (expected integers)" s
     in
     let run path index nths mems ranks prefixes cgraphs domains telemetry =
       with_telemetry telemetry @@ fun () ->
@@ -486,12 +477,10 @@ let corpus_cmd =
               List.map (fun i -> Umrs_store.Query.Cgraph_of i) cgraphs ]
           |> Array.of_list
         in
-        if Array.length requests = 0 then begin
-          Printf.eprintf
-            "routing_lab: corpus query: no requests (use --nth/--mem/--rank/\
-             --prefix/--cgraph)\n";
-          exit 2
-        end;
+        if Array.length requests = 0 then
+          usage_error
+            "corpus query: no requests (use --nth/--mem/--rank/--prefix/\
+             --cgraph)";
         (match Umrs_store.Query.batch ?domains t requests with
         | responses ->
           Array.iteri
@@ -525,8 +514,7 @@ let corpus_cmd =
               | _ -> assert false)
             responses
         | exception Invalid_argument msg ->
-          Printf.eprintf "routing_lab: corpus query: %s\n" msg;
-          exit 2)
+          usage_error "corpus query: %s" msg)
     in
     let nths =
       Arg.(value & opt_all int [] & info [ "nth" ] ~docv:"I"
@@ -587,8 +575,7 @@ let corpus_cmd =
         Printf.eprintf "routing_lab: corpus shard: %s\n" msg;
         exit 1
       | exception Invalid_argument msg ->
-        Printf.eprintf "routing_lab: corpus shard: %s\n" msg;
-        exit 2
+        usage_error "corpus shard: %s" msg
     in
     let shards =
       Arg.(required & opt (some int) None & info [ "shards" ] ~docv:"N"
@@ -923,8 +910,7 @@ let table2_cmd =
         (String.split_on_char ',' scheme_names)
     in
     let schemes = List.map (scheme_of_name ~seed) names in
-    if csv then
-      pf "scheme,graph,n,m,mem_local_bits,mem_global_bits,pairs,method,mean,p50,p95,p99,max@."
+    if csv then pf "%s@." Registry.csv_header
     else begin
       pf "Table 2: stretch distributions vs bit-exact memory@.";
       pf "graph=%s n=%d m=%d seed=%d (exact all-pairs at n <= %d, else %d sampled pairs)@.@."
@@ -935,28 +921,25 @@ let table2_cmd =
     List.iter
       (fun s ->
         let b = s.Scheme.build g in
-        let d =
-          Stretch_dist.measure ~cutoff ~pairs ~seed b.Scheme.rf
+        let d = Stretch_dist.measure ~cutoff ~pairs ~seed b.Scheme.rf in
+        let mem_local_bits, mem_global_bits = Scheme.memory b in
+        let e =
+          { Scheme.scheme_name = s.Scheme.name; graph_name = family;
+            order = Graph.order g; edges = Graph.size g; mem_local_bits;
+            mem_global_bits; stretch = d }
         in
-        let meth = if d.Stretch_dist.ds_exact then "exact" else "sampled" in
-        let local, global = Scheme.memory b in
-        if csv then
-          pf "%s,%s,%d,%d,%d,%d,%d,%s,%.6f,%.6f,%.6f,%.6f,%.6f@."
-            s.Scheme.name family (Graph.order g) (Graph.size g)
-            local global
-            d.Stretch_dist.ds_pairs meth d.Stretch_dist.ds_mean
-            d.Stretch_dist.ds_p50 d.Stretch_dist.ds_p95
-            d.Stretch_dist.ds_p99 d.Stretch_dist.ds_max
+        if csv then pf "%s@." (Registry.to_csv_row e)
         else
           pf "%-14s %9d %11d %7.3f %7.3f %7.3f %7.3f %7.3f %9d %s@."
-            s.Scheme.name local global
+            s.Scheme.name mem_local_bits mem_global_bits
             d.Stretch_dist.ds_mean d.Stretch_dist.ds_p50
             d.Stretch_dist.ds_p95 d.Stretch_dist.ds_p99
-            d.Stretch_dist.ds_max d.Stretch_dist.ds_pairs meth)
+            d.Stretch_dist.ds_max d.Stretch_dist.ds_pairs
+            (if d.Stretch_dist.ds_exact then "exact" else "sampled"))
       schemes
   in
   let schemes_arg =
-    Arg.(value & opt string "landmark,tz"
+    Arg.(value & opt string "landmark-3,tz-3"
          & info [ "schemes" ] ~docv:"NAMES"
              ~doc:"Comma-separated scheme names to compare.")
   in
@@ -1834,10 +1817,7 @@ let cluster_cmd =
         | Some k, None -> Wire.Split k
         | None, Some k -> Wire.Merge k
         | _ ->
-          Printf.eprintf
-            "routing_lab: cluster reshard: exactly one of --split or \
-             --merge\n";
-          exit 2
+          usage_error "cluster reshard: exactly one of --split or --merge"
       in
       with_coordinator "reshard" addr @@ fun c ->
       match Umrs_client.reshard c op with

@@ -31,9 +31,9 @@ let () =
     (Scheme.mem_local tables) (Scheme.mem_global tables);
 
   (* 5. Stretch factor: max over all pairs of route/distance. *)
-  let s = Routing_function.stretch tables.Scheme.rf in
-  Format.printf "stretch factor = %.3f (mean %.3f)@."
-    s.Routing_function.max_ratio s.Routing_function.mean_ratio;
+  let s = Stretch_dist.exact tables.Scheme.rf in
+  Format.printf "stretch factor = %.3f (mean %.3f)@." s.Stretch_dist.ds_max
+    s.Stretch_dist.ds_mean;
 
   (* 6. Compare against interval routing, the compact scheme the paper
      cites for trees / outerplanar / circular-arc networks. *)

@@ -39,7 +39,7 @@ let () =
           let e = Scheme.evaluate scheme ~graph_name:gname g in
           Format.printf "%-20s %-16s %8d %10d %8.3f@." gname
             e.Scheme.scheme_name e.Scheme.mem_local_bits
-            e.Scheme.mem_global_bits e.Scheme.stretch.Routing_function.max_ratio)
+            e.Scheme.mem_global_bits e.Scheme.stretch.Stretch_dist.ds_max)
         schemes;
       Format.printf "@.")
     families;

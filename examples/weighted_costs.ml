@@ -22,11 +22,11 @@ let () =
       let sw = Weighted_tables.stretch w weighted.Scheme.rf in
       let sh = Weighted_tables.stretch w hop.Scheme.rf in
       Format.printf "%-22s %10d %14.3f %14.3f@." (name ^ " [weighted]")
-        (Scheme.mem_local weighted) 1.0 sw.Weighted_tables.max_ratio;
+        (Scheme.mem_local weighted) 1.0 sw.Stretch_dist.ds_max;
       Format.printf "%-22s %10d %14.3f %14.3f@." (name ^ " [hop-count]")
         (Scheme.mem_local hop)
-        (Routing_function.stretch hop.Scheme.rf).Routing_function.max_ratio
-        sh.Weighted_tables.max_ratio)
+        (Stretch_dist.exact hop.Scheme.rf).Stretch_dist.ds_max
+        sh.Stretch_dist.ds_max)
     [
       ("torus 5x5", Generators.torus 5 5);
       ("random n=24", Generators.random_connected st ~n:24 ~m:60);

@@ -104,6 +104,3 @@ let map_range_with ?domains ~init ?(finally = fun _ -> ()) n f =
 let all_pairs ?domains g =
   map_range_with ?domains ~init:Bfs.workspace (Graph.order g) (fun ws src ->
       Bfs.distances_with ws g src)
-
-let all_pairs_weighted ?domains w =
-  map_range ?domains (Graph.order (Weighted.graph w)) (Weighted.dijkstra w)

@@ -44,6 +44,3 @@ val map_range_with :
 
 val all_pairs : ?domains:int -> Graph.t -> int array array
 (** Parallel {!Bfs.all_pairs}: one {!Bfs.workspace} per domain. *)
-
-val all_pairs_weighted : ?domains:int -> Weighted.t -> int array array
-(** Parallel {!Weighted.all_pairs}. *)

@@ -24,16 +24,16 @@ let compare_on ?dist ~graph_name g schemes =
   List.map (fun s -> Scheme.evaluate ~dist s ~graph_name g) schemes
 
 let csv_header =
-  "scheme,graph,n,m,mem_local_bits,mem_global_bits,max_stretch,mean_stretch,p50_stretch,p95_stretch"
+  "scheme,graph,n,m,mem_local_bits,mem_global_bits,pairs,method,mean,p50,p95,p99,max"
 
 let to_csv_row e =
-  Printf.sprintf "%s,%s,%d,%d,%d,%d,%.6f,%.6f,%.6f,%.6f" e.Scheme.scheme_name
-    e.Scheme.graph_name e.Scheme.order e.Scheme.edges e.Scheme.mem_local_bits
-    e.Scheme.mem_global_bits
-    e.Scheme.stretch.Routing_function.max_ratio
-    e.Scheme.stretch.Routing_function.mean_ratio
-    e.Scheme.stretch.Routing_function.p50_ratio
-    e.Scheme.stretch.Routing_function.p95_ratio
+  let s = e.Scheme.stretch in
+  Printf.sprintf "%s,%s,%d,%d,%d,%d,%d,%s,%.6f,%.6f,%.6f,%.6f,%.6f"
+    e.Scheme.scheme_name e.Scheme.graph_name e.Scheme.order e.Scheme.edges
+    e.Scheme.mem_local_bits e.Scheme.mem_global_bits s.Stretch_dist.ds_pairs
+    (if s.Stretch_dist.ds_exact then "exact" else "sampled")
+    s.Stretch_dist.ds_mean s.Stretch_dist.ds_p50 s.Stretch_dist.ds_p95
+    s.Stretch_dist.ds_p99 s.Stretch_dist.ds_max
 
 let to_csv evals =
   String.concat "\n" (csv_header :: List.map to_csv_row evals) ^ "\n"

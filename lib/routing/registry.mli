@@ -26,7 +26,10 @@ val compare_on :
     matrix). *)
 
 val csv_header : string
-(** Column names matching {!to_csv_row}. *)
+(** Column names matching {!to_csv_row}: scheme, graph, n, m, the two
+    memory columns, then the {!Stretch_dist.summary} (pairs, exact or
+    sampled, mean, p50, p95, p99, max). [routing_lab table2 --csv]
+    prints this table. *)
 
 val to_csv_row : Scheme.evaluation -> string
 (** One comma-separated line per evaluation (no quoting needed: fields

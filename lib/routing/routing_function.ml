@@ -71,84 +71,6 @@ let delivers_all rf =
     true
   with Routing_loop _ | Invalid_argument _ -> false
 
-type stretch_report = {
-  max_ratio : float;
-  worst_pair : Graph.vertex * Graph.vertex;
-  worst_route : int;
-  worst_dist : int;
-  mean_ratio : float;
-  p50_ratio : float;
-  p95_ratio : float;
-}
-
-let with_dist ?dist rf f =
-  let d =
-    match dist with Some d -> d | None -> Dist_cache.distances rf.graph
-  in
-  f d
-
-let stretch ?dist rf =
-  with_dist ?dist rf (fun d ->
-      let n = Graph.order rf.graph in
-      if n < 2 then
-        {
-          max_ratio = 1.0;
-          worst_pair = (0, 0);
-          worst_route = 0;
-          worst_dist = 0;
-          mean_ratio = 1.0;
-          p50_ratio = 1.0;
-          p95_ratio = 1.0;
-        }
-      else begin
-        let worst = ref (0, 0) and wr = ref 0 and wd = ref 1 in
-        let sum = ref 0.0 and count = ref 0 in
-        let ratios = Array.make (n * (n - 1)) 1.0 in
-        for u = 0 to n - 1 do
-          for v = 0 to n - 1 do
-            if u <> v then begin
-              let dr = route_length rf u v in
-              let dg = d.(u).(v) in
-              if dg = Bfs.infinity then
-                invalid_arg "stretch: disconnected graph";
-              (* compare dr/dg > wr/wd without floats *)
-              if dr * !wd > !wr * dg then begin
-                worst := (u, v);
-                wr := dr;
-                wd := dg
-              end;
-              ratios.(!count) <- float_of_int dr /. float_of_int dg;
-              sum := !sum +. ratios.(!count);
-              incr count
-            end
-          done
-        done;
-        let q = Umrs_bench.Quantile.of_array ratios in
-        {
-          max_ratio = float_of_int !wr /. float_of_int !wd;
-          worst_pair = !worst;
-          worst_route = !wr;
-          worst_dist = !wd;
-          mean_ratio = !sum /. float_of_int !count;
-          p50_ratio = Umrs_bench.Quantile.p50 q;
-          p95_ratio = Umrs_bench.Quantile.p95 q;
-        }
-      end)
-
-let stretch_ratios ?dist rf =
-  with_dist ?dist rf (fun d ->
-      let n = Graph.order rf.graph in
-      let acc = ref [] in
-      for u = n - 1 downto 0 do
-        for v = n - 1 downto 0 do
-          if u <> v then begin
-            let dr = route_length rf u v in
-            acc := (float_of_int dr /. float_of_int d.(u).(v)) :: !acc
-          end
-        done
-      done;
-      Array.of_list !acc)
-
 let header_bits ~order h =
   let width_of x = max 1 (Umrs_bitcode.Codes.bits_needed (max 1 x)) in
   match h with
@@ -169,16 +91,16 @@ let max_header_bits rf =
   !worst
 
 let stretch_at_most ?dist rf ~num ~den =
-  with_dist ?dist rf (fun d ->
-      let n = Graph.order rf.graph in
-      try
-        for u = 0 to n - 1 do
-          for v = 0 to n - 1 do
-            if u <> v then begin
-              let dr = route_length rf u v in
-              if den * dr > num * d.(u).(v) then raise Exit
-            end
-          done
-        done;
-        true
-      with Exit | Routing_loop _ -> false)
+  let d = match dist with Some d -> d | None -> Parallel.all_pairs rf.graph in
+  let n = Graph.order rf.graph in
+  try
+    for u = 0 to n - 1 do
+      for v = 0 to n - 1 do
+        if u <> v then begin
+          let dr = route_length rf u v in
+          if den * dr > num * d.(u).(v) then raise Exit
+        end
+      done
+    done;
+    true
+  with Exit | Routing_loop _ -> false

@@ -61,29 +61,11 @@ val delivers_all : t -> bool
 
 (** {1 Stretch} *)
 
-type stretch_report = {
-  max_ratio : float;
-  worst_pair : Graph.vertex * Graph.vertex;
-  worst_route : int;      (** [dR] on the worst pair *)
-  worst_dist : int;       (** [dG] on the worst pair *)
-  mean_ratio : float;     (** average over ordered pairs *)
-  p50_ratio : float;      (** median per-pair ratio (nearest rank) *)
-  p95_ratio : float;      (** 95th-percentile per-pair ratio *)
-}
-
-val stretch : ?dist:int array array -> t -> stretch_report
-(** Exhaustive stretch over all ordered pairs of distinct vertices. A
-    precomputed distance matrix may be supplied. Raises if some pair is
-    not delivered. *)
-
-val stretch_ratios : ?dist:int array array -> t -> float array
-(** The per-pair ratio [dR/dG] for every ordered pair of distinct
-    vertices (row-major) — feed to {!Umrs_bench.Quantile} for
-    distributional views of a scheme's stretch. *)
-
 val stretch_at_most : ?dist:int array array -> t -> num:int -> den:int -> bool
 (** [stretch_at_most rf ~num ~den]: every routing path satisfies
-    [den * dR <= num * dG] — exact rational comparison, no floats. *)
+    [den * dR <= num * dG] — exact rational comparison, no floats.
+    [dist] defaults to {!Umrs_graph.Parallel.all_pairs}. The stretch
+    distribution is {!Stretch_dist.exact}. *)
 
 (** {1 Header accounting}
 

@@ -31,14 +31,10 @@ type evaluation = {
   edges : int;
   mem_local_bits : int;
   mem_global_bits : int;
-  stretch : Routing_function.stretch_report;
+  stretch : Stretch_dist.summary;
 }
 
 let evaluate ?dist scheme ~graph_name g =
-  (* All schemes evaluated on the same graph share one APSP matrix. *)
-  let dist =
-    match dist with Some d -> d | None -> Dist_cache.distances g
-  in
   let b = scheme.build g in
   let mem_local_bits, mem_global_bits = memory b in
   let e =
@@ -49,7 +45,7 @@ let evaluate ?dist scheme ~graph_name g =
       edges = Graph.size g;
       mem_local_bits;
       mem_global_bits;
-      stretch = Routing_function.stretch ~dist b.rf;
+      stretch = Stretch_dist.exact ?dist b.rf;
     }
   in
   if Telemetry.enabled () then
@@ -60,10 +56,10 @@ let evaluate ?dist scheme ~graph_name g =
         ("edges", Telemetry.Int e.edges);
         ("mem_local_bits", Telemetry.Int e.mem_local_bits);
         ("mem_global_bits", Telemetry.Int e.mem_global_bits);
-        ("stretch_max", Telemetry.Float e.stretch.Routing_function.max_ratio);
-        ("stretch_mean", Telemetry.Float e.stretch.Routing_function.mean_ratio);
-        ("stretch_p50", Telemetry.Float e.stretch.Routing_function.p50_ratio);
-        ("stretch_p95", Telemetry.Float e.stretch.Routing_function.p95_ratio)
+        ("stretch_max", Telemetry.Float e.stretch.Stretch_dist.ds_max);
+        ("stretch_mean", Telemetry.Float e.stretch.Stretch_dist.ds_mean);
+        ("stretch_p50", Telemetry.Float e.stretch.Stretch_dist.ds_p50);
+        ("stretch_p95", Telemetry.Float e.stretch.Stretch_dist.ds_p95)
       ];
   e
 
@@ -72,7 +68,6 @@ let pp_evaluation fmt e =
     "%-18s %-18s n=%-5d m=%-6d local=%-8d global=%-10d stretch=%.3f (mean \
      %.3f p50 %.3f p95 %.3f)"
     e.scheme_name e.graph_name e.order e.edges e.mem_local_bits
-    e.mem_global_bits e.stretch.Routing_function.max_ratio
-    e.stretch.Routing_function.mean_ratio
-    e.stretch.Routing_function.p50_ratio
-    e.stretch.Routing_function.p95_ratio
+    e.mem_global_bits e.stretch.Stretch_dist.ds_max
+    e.stretch.Stretch_dist.ds_mean e.stretch.Stretch_dist.ds_p50
+    e.stretch.Stretch_dist.ds_p95

@@ -49,12 +49,13 @@ type evaluation = {
   edges : int;
   mem_local_bits : int;
   mem_global_bits : int;
-  stretch : Routing_function.stretch_report;
+  stretch : Stretch_dist.summary;  (** exact: every ordered pair *)
 }
 
 val evaluate :
   ?dist:int array array -> t -> graph_name:string -> Graph.t -> evaluation
-(** Build the scheme on the graph and measure memory and exhaustive
-    stretch. *)
+(** Build the scheme on the graph, then {!memory}, then
+    {!Stretch_dist.exact} over every ordered pair. Pass [dist] to share
+    one distance matrix across schemes on the same graph. *)
 
 val pp_evaluation : Format.formatter -> evaluation -> unit

@@ -1,12 +1,14 @@
-(** Stretch {e distributions} of a routing function — the evaluation
-    axis behind [routing_lab table2] and the TZ bench: the paper's
-    worst-case stretch column says nothing about the typical pair, and
-    on Internet-like graphs the interesting claim (Krioukov, Fall &
-    Yang) is about the p50/mean, not the max.
+(** Stretch {e distributions} of a routing function: the one stretch
+    summary of the suite. [Scheme.evaluate], [Registry]'s CSV, the
+    [Evaluate] wire reply, [routing_lab table2] and the TZ bench all
+    report it. The paper's worst-case stretch column says nothing about
+    the typical pair, and on Internet-like graphs the interesting claim
+    (Krioukov, Fall & Yang) is about the p50/mean, not the max.
 
-    Below a node cutoff the distribution is exact over all ordered
-    pairs (one shared APSP via {!Umrs_graph.Dist_cache}); above it a
-    seeded pair sample is measured source by source, fanned out over
+    {!exact} covers every ordered pair, with distances from one
+    {!Umrs_graph.Parallel.all_pairs} unless the caller passes a matrix
+    to share. Above a node cutoff {!measure} switches to a seeded pair
+    sample, measured source by source and fanned out over
     {!Umrs_graph.Parallel} domains. Each source's distances come from
     point-to-point searches ({!Umrs_graph.Bfs.distance_between}) or
     from one full BFS, whichever the work observed so far says is
@@ -32,10 +34,23 @@ val default_sample_pairs : int
 
 val of_ratios : exact:bool -> float array -> summary
 (** Summarize a per-pair ratio array (quantiles via
-    {!Umrs_bench.Quantile}, nearest rank). Raises on empty input. *)
+    {!Umrs_bench.Quantile}, nearest rank). An [exact] mean is a
+    compensated sum, within about one rounding of the exact mean; a
+    sampled one is {!Umrs_bench.Quantile.mean}, summed in sorted order.
+    An empty array, as on a graph of fewer than two vertices, gives 0
+    pairs and 1.0 for every statistic. *)
+
+val of_pairs :
+  int -> (Umrs_graph.Graph.vertex -> Umrs_graph.Graph.vertex -> float) ->
+  summary
+(** [of_pairs n ratio] is the exact summary of [ratio u v] over the
+    [n(n-1)] ordered pairs of distinct vertices of [[0, n)], row-major. *)
 
 val exact : ?dist:int array array -> Routing_function.t -> summary
-(** All ordered pairs, via {!Routing_function.stretch_ratios}. *)
+(** Every ordered pair: routed hops over distance. [dist] defaults to
+    {!Umrs_graph.Parallel.all_pairs} of the routing function's graph.
+    Raises [Invalid_argument] on a disconnected pair, and whatever
+    {!Routing_function.route} raises on an undelivered one. *)
 
 val sampled :
   ?seed:int -> ?pairs:int -> ?domains:int -> Routing_function.t -> summary
@@ -56,7 +71,7 @@ val sampled :
 val measure :
   ?cutoff:int -> ?pairs:int -> ?seed:int -> ?domains:int ->
   Routing_function.t -> summary
-(** {!exact} when [order <= cutoff] (default {!default_cutoff}), else
-    {!sampled}. *)
+(** {!exact} when [order <= cutoff] (default {!default_cutoff}) or
+    [order < 2], else {!sampled}. *)
 
 val pp : Format.formatter -> summary -> unit

@@ -48,42 +48,14 @@ let build w =
     description = "weighted shortest-path next-hop tables";
   }
 
-type weighted_stretch = {
-  max_ratio : float;
-  worst_pair : Graph.vertex * Graph.vertex;
-  mean_ratio : float;
-}
-
 let routed_cost w rf u v =
   let trace = Routing_function.route rf u v in
   Weighted.path_cost w trace.Routing_function.path
 
 let stretch w rf =
-  let g = Weighted.graph w in
-  let n = Graph.order g in
   let dist = Weighted.all_pairs w in
-  let worst = ref (0, 0) and wr = ref 0 and wd = ref 1 in
-  let sum = ref 0.0 and count = ref 0 in
-  for u = 0 to n - 1 do
-    for v = 0 to n - 1 do
-      if u <> v then begin
-        let c = routed_cost w rf u v in
-        let d = dist.(u).(v) in
-        if c * !wd > !wr * d then begin
-          worst := (u, v);
-          wr := c;
-          wd := d
-        end;
-        sum := !sum +. (float_of_int c /. float_of_int d);
-        incr count
-      end
-    done
-  done;
-  {
-    max_ratio = float_of_int !wr /. float_of_int !wd;
-    worst_pair = !worst;
-    mean_ratio = (if !count = 0 then 1.0 else !sum /. float_of_int !count);
-  }
+  Stretch_dist.of_pairs (Graph.order (Weighted.graph w)) (fun u v ->
+      float_of_int (routed_cost w rf u v) /. float_of_int dist.(u).(v))
 
 let stretch_at_most w rf ~num ~den =
   let g = Weighted.graph w in

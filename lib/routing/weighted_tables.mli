@@ -13,14 +13,9 @@ val next_hop_matrix : Weighted.t -> Graph.port array array
 
 val build : Weighted.t -> Scheme.built
 
-type weighted_stretch = {
-  max_ratio : float;
-  worst_pair : Graph.vertex * Graph.vertex;
-  mean_ratio : float;
-}
-
-val stretch : Weighted.t -> Routing_function.t -> weighted_stretch
-(** Ratio of routed cost to weighted distance over all ordered pairs. *)
+val stretch : Weighted.t -> Routing_function.t -> Stretch_dist.summary
+(** Exact distribution of routed cost over weighted distance, over all
+    ordered pairs. *)
 
 val stretch_at_most :
   Weighted.t -> Routing_function.t -> num:int -> den:int -> bool

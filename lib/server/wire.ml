@@ -335,14 +335,13 @@ let enc_evaluation b (e : Umrs_routing.Scheme.evaluation) =
   i64 b (int64_of_nonneg "mem_local" e.Umrs_routing.Scheme.mem_local_bits);
   i64 b (int64_of_nonneg "mem_global" e.Umrs_routing.Scheme.mem_global_bits);
   let s = e.Umrs_routing.Scheme.stretch in
-  f64 b s.Umrs_routing.Routing_function.max_ratio;
-  u32 b (fst s.Umrs_routing.Routing_function.worst_pair);
-  u32 b (snd s.Umrs_routing.Routing_function.worst_pair);
-  u32 b s.Umrs_routing.Routing_function.worst_route;
-  u32 b s.Umrs_routing.Routing_function.worst_dist;
-  f64 b s.Umrs_routing.Routing_function.mean_ratio;
-  f64 b s.Umrs_routing.Routing_function.p50_ratio;
-  f64 b s.Umrs_routing.Routing_function.p95_ratio
+  i64 b (int64_of_nonneg "pairs" s.Umrs_routing.Stretch_dist.ds_pairs);
+  wbool b s.Umrs_routing.Stretch_dist.ds_exact;
+  f64 b s.Umrs_routing.Stretch_dist.ds_mean;
+  f64 b s.Umrs_routing.Stretch_dist.ds_p50;
+  f64 b s.Umrs_routing.Stretch_dist.ds_p95;
+  f64 b s.Umrs_routing.Stretch_dist.ds_p99;
+  f64 b s.Umrs_routing.Stretch_dist.ds_max
 
 let dec_evaluation rd : Umrs_routing.Scheme.evaluation =
   let scheme_name = rstr rd in
@@ -351,19 +350,18 @@ let dec_evaluation rd : Umrs_routing.Scheme.evaluation =
   let edges = r32 rd in
   let mem_local_bits = rint64 rd "mem_local" in
   let mem_global_bits = rint64 rd "mem_global" in
-  let max_ratio = rf64 rd in
-  let wa = r32 rd in
-  let wb = r32 rd in
-  let worst_route = r32 rd in
-  let worst_dist = r32 rd in
-  let mean_ratio = rf64 rd in
-  let p50_ratio = rf64 rd in
-  let p95_ratio = rf64 rd in
+  let ds_pairs = rint64 rd "pairs" in
+  let ds_exact = rbool rd in
+  let ds_mean = rf64 rd in
+  let ds_p50 = rf64 rd in
+  let ds_p95 = rf64 rd in
+  let ds_p99 = rf64 rd in
+  let ds_max = rf64 rd in
   { Umrs_routing.Scheme.scheme_name; graph_name; order; edges;
     mem_local_bits; mem_global_bits;
     stretch =
-      { Umrs_routing.Routing_function.max_ratio; worst_pair = (wa, wb);
-        worst_route; worst_dist; mean_ratio; p50_ratio; p95_ratio } }
+      { Umrs_routing.Stretch_dist.ds_pairs; ds_exact; ds_mean; ds_p50;
+        ds_p95; ds_p99; ds_max } }
 
 (* ---------- shard maps ---------- *)
 
@@ -616,9 +614,12 @@ let magic = "UMRSSRVC"
    R_shard_map response for cluster routing.  v4: stretch-distribution
    fields in evaluations.  v5: cluster membership — Join/Leave/
    Heartbeat/Reshard/Handoff_done/Cluster_status requests and their
-   responses.  The hello version is part of the handshake, so
-   mixed-version pairs fail fast instead of misparsing a reply. *)
-let protocol_version = 5
+   responses.  v6: an evaluation carries the one stretch summary,
+   Stretch_dist.summary (pairs, exact flag, mean, p50, p95, p99, max),
+   in place of the worst pair and its route and distance.  The hello
+   version is part of the handshake, so mixed-version pairs fail fast
+   instead of misparsing a reply. *)
+let protocol_version = 6
 let hello_bytes = 10
 
 let hello () =

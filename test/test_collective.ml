@@ -44,7 +44,7 @@ let test_disconnected_rejected () =
 let test_sampled_stretch () =
   let seed = Random.State.bits (rng ()) in
   let g = Generators.torus 5 5 in
-  let exact = (Routing_function.stretch (tables g)).Routing_function.max_ratio in
+  let exact = (Stretch_dist.exact (tables g)).Stretch_dist.ds_max in
   let sampled = (Stretch_dist.sampled ~seed ~pairs:60 (tables g)).Stretch_dist.ds_max in
   check_true "sampled <= exact" (sampled <= exact +. 1e-9);
   check_true "sampled >= 1" (sampled >= 1.0);

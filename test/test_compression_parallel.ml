@@ -73,40 +73,42 @@ let test_parallel_matches_sequential () =
   check_true "same distances" (Parallel.all_pairs ~domains:4 g = Bfs.all_pairs g);
   check_true "one domain" (Parallel.all_pairs ~domains:1 g = Bfs.all_pairs g)
 
-let test_parallel_weighted () =
-  let st = rng () in
-  let g = Generators.random_connected st ~n:24 ~m:60 in
-  let w = Weighted.random st ~max_cost:7 g in
-  check_true "same weighted distances"
-    (Parallel.all_pairs_weighted ~domains:3 w = Weighted.all_pairs w)
+let test_parallel_disconnected () =
+  (* two components, more domains than sources: every cross pair is at
+     Bfs.infinity, as in the sequential matrix *)
+  let g = Graph.of_edges ~n:5 [ (0, 1); (1, 2); (3, 4) ] in
+  let d = Parallel.all_pairs ~domains:8 g in
+  check_true "same distances" (d = Bfs.all_pairs g);
+  check_int "cross pair unreachable" Bfs.infinity d.(0).(4);
+  check_int "within a component" 2 d.(0).(2)
 
-(* ---------- shared distance cache ---------- *)
+(* ---------- shared distances ---------- *)
 
-let test_dist_cache_hits_by_identity () =
+let test_compare_on_shares_distances () =
+  (* compare_on passes one distance matrix to every scheme; evaluating
+     each scheme on its own, with its own matrix, must agree field for
+     field *)
   let st = rng () in
   let g = Generators.random_connected st ~n:20 ~m:40 in
-  let h0, m0 = Dist_cache.stats () in
-  let d1 = Dist_cache.distances g in
-  let d2 = Dist_cache.distances g in
-  let h1, m1 = Dist_cache.stats () in
-  check_true "second lookup is the same matrix" (d1 == d2);
-  check_true "correct distances" (d1 = Bfs.all_pairs g);
-  check_int "one miss" (m0 + 1) m1;
-  check_int "one hit" (h0 + 1) h1;
-  (* an equal-but-distinct graph is a different identity *)
-  let g' = Graph.of_edges ~n:(Graph.order g) (Graph.edges g) in
-  check_true "structural twin recomputes"
-    (not (Dist_cache.distances g' == d1));
-  Dist_cache.clear ();
-  check_true "clear drops the entry" (not (Dist_cache.distances g == d1))
+  let schemes = Registry.universal () in
+  let shared = Registry.compare_on ~graph_name:"rnd" g schemes in
+  let alone = List.map (fun s -> Scheme.evaluate s ~graph_name:"rnd" g) schemes in
+  check_true "same evaluations" (shared = alone)
 
-let test_dist_cache_weighted () =
-  let st = rng () in
-  let g = Generators.random_connected st ~n:16 ~m:30 in
-  let w = Weighted.random st ~max_cost:5 g in
-  let d1 = Dist_cache.distances_weighted w in
-  check_true "weighted cached" (d1 == Dist_cache.distances_weighted w);
-  check_true "weighted correct" (d1 = Weighted.all_pairs w)
+let test_exact_stretch_edge_cases () =
+  let one = (Table_scheme.build (Generators.path 1)).Scheme.rf in
+  let s = Stretch_dist.exact one in
+  check_int "no pair on one vertex" 0 s.Stretch_dist.ds_pairs;
+  check_true "every statistic 1"
+    (List.for_all (( = ) 1.0)
+       Stretch_dist.[ s.ds_mean; s.ds_p50; s.ds_p95; s.ds_p99; s.ds_max ]);
+  (* a disconnected pair is refused before it is routed *)
+  let g = Graph.of_edges ~n:4 [ (0, 1); (2, 3) ] in
+  let rf = Routing_function.of_next_hop g (fun _ _ -> 1) in
+  check_true "disconnected pair refused"
+    (match Stretch_dist.exact rf with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
 
 let test_map_range () =
   check_true "squares" (Parallel.map_range ~domains:3 10 (fun i -> i * i)
@@ -185,10 +187,10 @@ let suite =
     case "rle gains nothing on constraint rows" test_rle_fails_on_constraint_graphs;
     case "rle sane on corpus" test_rle_vs_plain_on_corpus;
     case "parallel = sequential BFS" test_parallel_matches_sequential;
-    case "parallel weighted" test_parallel_weighted;
+    case "parallel all_pairs on a disconnected graph" test_parallel_disconnected;
     case "map_range" test_map_range;
-    case "distance cache hits by identity" test_dist_cache_hits_by_identity;
-    case "distance cache (weighted)" test_dist_cache_weighted;
+    case "compare_on shares one distance matrix" test_compare_on_shares_distances;
+    case "exact stretch: one vertex, disconnected pair" test_exact_stretch_edge_cases;
     case "bridges on a path" test_bridges_on_path;
     case "no bridges on a cycle" test_bridges_on_cycle;
     case "barbell bridge + articulation" test_barbell;

@@ -42,19 +42,19 @@ let test_treecover_petersen () =
   let g = Generators.petersen () in
   let b = Tree_cover_scheme.build g in
   check_true "delivers" (Routing_function.delivers_all b.Scheme.rf);
-  let s = Routing_function.stretch b.Scheme.rf in
+  let s = Stretch_dist.exact b.Scheme.rf in
   check_true "within guarantee"
-    (s.Routing_function.max_ratio <= Tree_cover_scheme.stretch_guarantee g)
+    (s.Stretch_dist.ds_max <= Tree_cover_scheme.stretch_guarantee g)
 
 let test_treecover_families () =
   List.iter
     (fun (name, g) ->
       let b = Tree_cover_scheme.build g in
       check_true (name ^ " delivers") (Routing_function.delivers_all b.Scheme.rf);
-      let s = Routing_function.stretch b.Scheme.rf in
+      let s = Stretch_dist.exact b.Scheme.rf in
       check_true
         (name ^ " within O(log n) guarantee")
-        (s.Routing_function.max_ratio <= Tree_cover_scheme.stretch_guarantee g))
+        (s.Stretch_dist.ds_max <= Tree_cover_scheme.stretch_guarantee g))
     [
       ("cycle 18", Generators.cycle 18);
       ("grid 5x5", Generators.grid 5 5);
@@ -90,6 +90,6 @@ let suite =
         let b = Tree_cover_scheme.build g in
         Routing_function.delivers_all b.Scheme.rf
         &&
-        let s = Routing_function.stretch b.Scheme.rf in
-        s.Routing_function.max_ratio <= Tree_cover_scheme.stretch_guarantee g);
+        let s = Stretch_dist.exact b.Scheme.rf in
+        s.Stretch_dist.ds_max <= Tree_cover_scheme.stretch_guarantee g);
   ]

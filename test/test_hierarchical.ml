@@ -30,8 +30,8 @@ let test_delivers_on_torus () =
   let b = Hierarchical_scheme.build g in
   check_true "delivers" (Routing_function.delivers_all b.Scheme.rf);
   (* stretch finite and modest on a torus *)
-  let s = Routing_function.stretch b.Scheme.rf in
-  check_true "stretch sane" (s.Routing_function.max_ratio < 5.0)
+  let s = Stretch_dist.exact b.Scheme.rf in
+  check_true "stretch sane" (s.Stretch_dist.ds_max < 5.0)
 
 let test_entry_count_win_on_big_cycle () =
   (* The classical Kleinrock-Kamoun claim is about table ENTRIES: a

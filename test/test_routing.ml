@@ -50,12 +50,12 @@ let test_wrong_delivery_detected () =
     (try ignore (Routing_function.route rf 0 2); false
      with Invalid_argument _ -> true)
 
-let test_stretch_report_shortest () =
+let test_tables_stretch_one () =
   let g = Generators.cycle 7 in
   let rf = (tables g).Scheme.rf in
-  let r = Routing_function.stretch rf in
-  Alcotest.(check (float 1e-9)) "max stretch 1" 1.0 r.Routing_function.max_ratio;
-  Alcotest.(check (float 1e-9)) "mean stretch 1" 1.0 r.Routing_function.mean_ratio
+  let r = Stretch_dist.exact rf in
+  Alcotest.(check (float 1e-9)) "max stretch 1" 1.0 r.Stretch_dist.ds_max;
+  Alcotest.(check (float 1e-9)) "mean stretch 1" 1.0 r.Stretch_dist.ds_mean
 
 let test_stretch_detects_detour () =
   (* On C5, always route clockwise: worst pair has dR=4 vs dG=1 *)
@@ -66,8 +66,8 @@ let test_stretch_detects_detour () =
     | None -> assert false
   in
   let rf = Routing_function.of_next_hop g next in
-  let r = Routing_function.stretch rf in
-  Alcotest.(check (float 1e-9)) "max 4" 4.0 r.Routing_function.max_ratio;
+  let r = Stretch_dist.exact rf in
+  Alcotest.(check (float 1e-9)) "max 4" 4.0 r.Stretch_dist.ds_max;
   check_true "stretch_at_most 4" (Routing_function.stretch_at_most rf ~num:4 ~den:1);
   check_true "not at most 3.9"
     (not (Routing_function.stretch_at_most rf ~num:39 ~den:10))
@@ -112,6 +112,22 @@ let test_next_hop_goes_closer () =
     done
   done
 
+let test_exact_mean_rounds_as_true_mean () =
+  (* landmark-3 on bench/main's T1 random_sparse graph: the 240 ratios
+     sum to exactly 273, so the true mean is 273/240 = 1.1375, whose
+     nearest float prints 1.137. Summed in sorted order, the rounded
+     ratios land two ulps above it and print 1.138. *)
+  let g =
+    List.assoc "random_sparse"
+      (Generators.corpus (Random.State.make [| 0xBE5C; 16 |]) ~size:16)
+  in
+  let s = Stretch_dist.exact (Landmark_scheme.build g).Scheme.rf in
+  check_int "all ordered pairs" 240 s.Stretch_dist.ds_pairs;
+  check_true "mean is the float nearest 273/240"
+    (s.Stretch_dist.ds_mean = 273. /. 240.);
+  Alcotest.(check string) "printed" "1.137"
+    (Printf.sprintf "%.3f" s.Stretch_dist.ds_mean)
+
 (* ---------- qcheck over random graphs ---------- *)
 
 
@@ -149,7 +165,7 @@ let test_registry_compare_and_csv () =
       | Some b ->
         check_true
           (scheme.Scheme.name ^ " within declared bound")
-          (e.Scheme.stretch.Routing_function.max_ratio <= b +. 1e-9)
+          (e.Scheme.stretch.Stretch_dist.ds_max <= b +. 1e-9)
       | None -> ())
     (Registry.universal ()) evals
 
@@ -159,7 +175,7 @@ let suite =
     case "src = dst rejected" test_route_src_eq_dst_rejected;
     case "routing loop detected" test_routing_loop_detected;
     case "wrong delivery detected" test_wrong_delivery_detected;
-    case "tables give stretch 1" test_stretch_report_shortest;
+    case "tables give stretch 1" test_tables_stretch_one;
     case "stretch detects detours" test_stretch_detects_detour;
     case "delivers_all on petersen" test_delivers_all;
     case "table memory formula" test_table_memory_formula;
@@ -192,4 +208,5 @@ let suite =
         e.Scheme.order = Graph.order g
         && e.Scheme.edges = Graph.size g
         && e.Scheme.mem_local_bits <= e.Scheme.mem_global_bits);
+    case "exact mean rounds as the true mean" test_exact_mean_rounds_as_true_mean;
   ]

@@ -175,8 +175,9 @@ let test_wire_huge_graph_order_rejected () =
 (* MD5 of one payload per request and response constructor, plus the
    three bodiless outcomes. Two processes talk through these bytes, so
    they are pinned independently of how Bitbuf moves its bits. [Join],
-   [R_stats] and [R_status] carry a 1-bit bool, so every field after it
-   starts off a byte boundary. *)
+   [R_stats], [R_status] and [R_evaluation] carry a 1-bit bool, so
+   every field after it starts off a byte boundary. [R_evaluation] was
+   re-recorded at protocol v6, when it took Stretch_dist.summary. *)
 
 let golden_addr_a = Wire.Unix_sock "/tmp/node-a.sock"
 let golden_addr_b = Wire.Tcp ("node-b.local", 7701)
@@ -254,7 +255,7 @@ let golden_outcomes () =
      Wire.Reply
        (Wire.R_evaluation
           (Scheme.evaluate Table_scheme.scheme ~graph_name:"petersen"
-             sample_graph)), "e569af541e75e474a3bdc72eb8520ad2");
+             sample_graph)), "4753734c47c83c59173214de0c540a24");
     ("slept", Wire.Reply (Wire.R_slept 250),
      "a5f4ad7f8f7bc6db15ad1622ee791d79");
     ("shard_map", Wire.Reply (Wire.R_shard_map sample_shard_map),
@@ -1153,6 +1154,25 @@ let test_version_mismatch_is_typed_and_clean () =
   with_client addr @@ fun c ->
   ok_client "server survives a version mismatch" (C.ping c)
 
+let test_evaluate_one_vertex () =
+  (* n < 2 leaves no pair to route: every universal scheme answers with
+     a 0-pair summary over the wire, equal to the local evaluation *)
+  with_tmp_dir @@ fun dir ->
+  with_server dir @@ fun addr _srv ->
+  with_client addr @@ fun c ->
+  let g = Generators.path 1 in
+  List.iter
+    (fun s ->
+      let name = s.Scheme.name in
+      let remote =
+        ok_client name (C.evaluate c ~scheme:name ~graph_name:"k1" g)
+      in
+      check_true (name ^ ": remote = local")
+        (remote = Scheme.evaluate s ~graph_name:"k1" g);
+      check_int (name ^ ": no pairs") 0
+        remote.Scheme.stretch.Stretch_dist.ds_pairs)
+    (Registry.universal ())
+
 let suite =
   [
     case "wire: requests round-trip" test_wire_request_roundtrip;
@@ -1197,4 +1217,5 @@ let suite =
       test_select_backend_e2e;
     case "protocol version mismatch is typed and clean"
       test_version_mismatch_is_typed_and_clean;
+    case "evaluate on a 1-vertex graph" test_evaluate_one_vertex;
   ]

@@ -241,16 +241,15 @@ let test_memory_below_landmark_on_ba () =
 
 (* ---------- stretch distributions ---------- *)
 
-let test_stretch_report_quantiles () =
+let test_stretch_quantiles_ordered () =
   let st = rng () in
   let g = Generators.barabasi_albert st ~n:60 ~m:2 in
   let b = Tz_scheme.build g in
-  let r = Routing_function.stretch b.Scheme.rf in
-  check_true "p50 >= 1" (r.Routing_function.p50_ratio >= 1.0);
-  check_true "p50 <= p95"
-    (r.Routing_function.p50_ratio <= r.Routing_function.p95_ratio);
-  check_true "p95 <= max"
-    (r.Routing_function.p95_ratio <= r.Routing_function.max_ratio)
+  let r = Stretch_dist.exact b.Scheme.rf in
+  check_true "p50 >= 1" (r.Stretch_dist.ds_p50 >= 1.0);
+  check_true "p50 <= p95" (r.Stretch_dist.ds_p50 <= r.Stretch_dist.ds_p95);
+  check_true "p95 <= p99" (r.Stretch_dist.ds_p95 <= r.Stretch_dist.ds_p99);
+  check_true "p99 <= max" (r.Stretch_dist.ds_p99 <= r.Stretch_dist.ds_max)
 
 let test_stretch_dist_exact_vs_sampled () =
   let st = rng () in
@@ -463,7 +462,7 @@ let suite =
     case "bitcode round-trip drives routing" test_bitcode_roundtrip;
     case "build is deterministic" test_build_deterministic;
     case "memory below landmark-3 on BA" test_memory_below_landmark_on_ba;
-    case "stretch report quantiles ordered" test_stretch_report_quantiles;
+    case "stretch report quantiles ordered" test_stretch_quantiles_ordered;
     case "stretch distributions exact vs sampled" test_stretch_dist_exact_vs_sampled;
     case "golden encodings and routes" test_golden_encodings;
     Gen.prop ~count:2000 "core: stretch 3 and transposed tables, any landmark set"

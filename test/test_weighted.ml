@@ -78,7 +78,7 @@ let test_weighted_tables_optimal () =
   check_true "weighted stretch 1"
     (Weighted_tables.stretch_at_most w b.Scheme.rf ~num:1 ~den:1);
   let s = Weighted_tables.stretch w b.Scheme.rf in
-  Alcotest.(check (float 1e-9)) "ratio 1" 1.0 s.Weighted_tables.max_ratio
+  Alcotest.(check (float 1e-9)) "ratio 1" 1.0 s.Stretch_dist.ds_max
 
 let test_hop_tables_suboptimal_on_weights () =
   (* unweighted tables ignore costs: on the heavy-edge triangle they
@@ -93,7 +93,7 @@ let test_hop_tables_suboptimal_on_weights () =
   check_true "hop routing is weight-suboptimal"
     (not (Weighted_tables.stretch_at_most w hop_tables.Scheme.rf ~num:1 ~den:1));
   let s = Weighted_tables.stretch w hop_tables.Scheme.rf in
-  Alcotest.(check (float 1e-9)) "pays 5x" 5.0 s.Weighted_tables.max_ratio
+  Alcotest.(check (float 1e-9)) "pays 5x" 5.0 s.Stretch_dist.ds_max
 
 let weighted_arb =
   let gen =
