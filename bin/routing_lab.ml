@@ -1,25 +1,36 @@
 (* routing_lab: command-line laboratory for the Fraigniaud-Gavoille
    (1996) reproduction. Every experiment of DESIGN.md is reachable from
-   here; `routing_lab --help` lists the commands. *)
+   here; `routing_lab --help` lists the commands.
+
+   Exit codes: 2 for a caller mistake, 1 for a failure the caller could
+   not have prevented, 125 (cmdliner's) only for an internal error. *)
 
 open Cmdliner
 open Umrs_graph
 open Umrs_routing
 open Umrs_core
+module Q = Umrs_store.Query
 
 let pf fmt = Format.printf fmt
 
-(* A caller mistake: one line on stderr naming the bad value, exit 2. *)
-let usage_error fmt =
+let die code fmt =
   Printf.ksprintf
     (fun msg ->
       prerr_endline ("routing_lab: " ^ msg);
-      exit 2)
+      exit code)
     fmt
+
+(* A caller mistake: one line on stderr naming the bad value, exit 2. *)
+let usage_error fmt = die 2 fmt
+
+(* A failure: a corpus that is missing or damaged, a socket that does
+   not answer, a server's or a peer's error. One line on stderr, exit
+   1. *)
+let failure fmt = die 1 fmt
 
 (* ---------- shared converters ---------- *)
 
-let graph_of_family ~seed family size =
+let generate ~seed family size =
   let st = Random.State.make [| seed; size; 0xF00 |] in
   match family with
   | "path" -> Generators.path size
@@ -68,6 +79,11 @@ let graph_of_family ~seed family size =
   | "powerlaw" -> Generators.chung_lu st ~n:size ~exponent:2.5
   | other -> usage_error "unknown graph family %S (see --help)" other
 
+(* A generator's refusal of the requested size is a caller mistake. *)
+let graph_of_family ~seed family size =
+  try generate ~seed family size
+  with Invalid_argument msg -> usage_error "-g %s -n %d: %s" family size msg
+
 (* -s and --schemes take a Scheme.name: the registry's universal
    schemes, then the partial ones. *)
 let schemes ~seed =
@@ -81,9 +97,16 @@ let schemes ~seed =
 
 let scheme_names = List.map (fun s -> s.Scheme.name) (schemes ~seed:0)
 
+(* A scheme that refuses the graph (ecube off a hypercube, ring off a
+   cycle) is a caller mistake too. *)
 let scheme_of_name ~seed name =
   match List.find_opt (fun s -> s.Scheme.name = name) (schemes ~seed) with
-  | Some s -> s
+  | Some s ->
+    { s with
+      Scheme.build =
+        (fun g ->
+          try s.Scheme.build g
+          with Invalid_argument msg -> usage_error "scheme %s: %s" name msg) }
   | None ->
     usage_error "unknown scheme %S (known: %s)" name
       (String.concat ", " scheme_names)
@@ -109,9 +132,49 @@ let scheme_arg =
   Arg.(value & opt string "routing-tables"
        & info [ "s"; "scheme" ] ~docv:"SCHEME" ~doc)
 
-let matrix_arg =
-  Arg.(required & pos 0 (some string) None & info [] ~docv:"MATRIX"
-         ~doc:"Matrix like \"[1 2; 1 1]\" (rows ;-separated).")
+(* Every matrix argument: "[1 2; 1 1]", rows ;-separated. [strict]
+   also asks every row to use a prefix alphabet {1..k}. *)
+let parse_matrix ?(strict = false) flag s =
+  try
+    let m = Matrix.of_string s in
+    if strict then Matrix.create m.Matrix.entries else m
+  with
+  | Invalid_argument msg -> usage_error "%s %S: %s" flag s msg
+  | Failure _ -> usage_error "%s %S: entries must be integers" flag s
+
+let matrix_arg ?strict () =
+  Term.(const (parse_matrix ?strict "MATRIX")
+        $ Arg.(required & pos 0 (some string) None & info [] ~docv:"MATRIX"
+                 ~doc:"Matrix like \"[1 2; 1 1]\" (rows ;-separated)."))
+
+(* -p/-q/-d: the instance dM(p,q) of Section 2, with each command's own
+   defaults. A value below 1 or above [max] is a caller mistake, and so
+   is, when [capped], an instance past the enumeration cap. *)
+let instance_arg ?max ?(capped = false) (p, q, d) =
+  let flag name default what =
+    let doc =
+      match max with
+      | None -> what ^ "."
+      | Some m -> Printf.sprintf "%s (<= %d)." what m
+    in
+    Arg.(value & opt int default & info [ name ] ~doc)
+  in
+  let check p q d =
+    List.iter
+      (fun (name, v) ->
+        if v < 1 then usage_error "-%s %d: must be at least 1" name v;
+        match max with
+        | Some m when v > m -> usage_error "-%s %d: must be at most %d" name v m
+        | _ -> ())
+      [ ("p", p); ("q", q); ("d", d) ];
+    if capped then begin
+      try ignore (Enumerate.checked_total ~p ~q ~d ())
+      with Invalid_argument msg -> usage_error "-p %d -q %d -d %d: %s" p q d msg
+    end;
+    (p, q, d)
+  in
+  Term.(const check $ flag "p" p "Rows" $ flag "q" q "Columns"
+        $ flag "d" d "Entry bound")
 
 let variant_arg =
   let variant_conv =
@@ -130,6 +193,111 @@ let telemetry_arg =
    closed (flushing a final metrics event) even if [f] raises. *)
 let with_telemetry telemetry f =
   match telemetry with None -> f () | Some path -> Telemetry.with_file path f
+
+(* Install SIGTERM/SIGINT handlers now, before the line that invites
+   the signal is printed; the returned function blocks until one of
+   them fires. *)
+let signal_wait () =
+  let stop = Atomic.make false in
+  let drain _ = Atomic.set stop true in
+  Sys.set_signal Sys.sigterm (Sys.Signal_handle drain);
+  Sys.set_signal Sys.sigint (Sys.Signal_handle drain);
+  fun () ->
+    while not (Atomic.get stop) do
+      try Unix.sleepf 0.2 with Unix.Unix_error (Unix.EINTR, _, _) -> ()
+    done
+
+(* ---------- corpus queries: one front end, three backends ---------- *)
+
+(* --nth/--mem/--rank/--prefix/--cgraph, parsed into requests before
+   any file is opened or socket connected. Requests come grouped by
+   flag, in command-line order within each flag. *)
+let requests_arg =
+  let parse_prefix s =
+    String.split_on_char ' ' (String.map (function ',' -> ' ' | c -> c) s)
+    |> List.filter (fun f -> f <> "")
+    |> List.map (fun f ->
+           match int_of_string_opt f with
+           | Some v -> v
+           | None -> usage_error "--prefix %S: entries must be integers" s)
+    |> Array.of_list
+  in
+  let request nths mems ranks prefixes cgraphs =
+    List.concat
+      [ List.map (fun i -> Q.Nth i) nths;
+        List.map (fun s -> Q.Mem (parse_matrix "--mem" s)) mems;
+        List.map (fun s -> Q.Rank (parse_matrix "--rank" s)) ranks;
+        List.map (fun s -> Q.Range_prefix (parse_prefix s)) prefixes;
+        List.map (fun i -> Q.Cgraph_of i) cgraphs ]
+  in
+  let all kind name docv doc =
+    Arg.(value & opt_all kind [] & info [ name ] ~docv ~doc)
+  in
+  Term.(const request
+        $ all Arg.int "nth" "I" "Fetch record I of the sorted corpus (repeatable)."
+        $ all Arg.string "mem" "MATRIX"
+            "Membership of a matrix like \"[1 2; 1 1]\" (repeatable)."
+        $ all Arg.string "rank" "MATRIX"
+            "Number of records strictly below MATRIX (repeatable)."
+        $ all Arg.string "prefix" "ENTRIES"
+            "Record range whose row-major entries start with ENTRIES, e.g. \
+             \"1 2\" or 1,2 (repeatable)."
+        $ all Arg.int "cgraph" "I"
+            "The Lemma-2 graph of constraints of record I (repeatable).")
+
+let pp_ints =
+  Format.pp_print_array
+    ~pp_sep:(fun f () -> Format.pp_print_char f ' ')
+    Format.pp_print_int
+
+let print_cgraph t =
+  pf "%a@." Graph.pp t.Cgraph.graph;
+  pf "constrained: %a@." pp_ints t.Cgraph.constrained;
+  pf "targets:     %a@." pp_ints t.Cgraph.targets
+
+(* The one printer of every corpus answer, whichever backend gave it. *)
+let print_answer request response =
+  match (request, response) with
+  | Q.Nth n, Q.R_matrix m -> pf "nth %d: %s@." n (Matrix.to_string m)
+  | Q.Mem m, Q.R_found b -> pf "mem %s: %b@." (Matrix.to_string m) b
+  | Q.Rank m, Q.R_rank r -> pf "rank %s: %d@." (Matrix.to_string m) r
+  | Q.Range_prefix p, Q.R_range (lo, hi) ->
+    pf "prefix [%a]: records [%d, %d) - %d matching@." pp_ints p lo hi (hi - lo)
+  | Q.Cgraph_of n, Q.R_graph t ->
+    pf "cgraph %d:@." n;
+    print_cgraph t
+  | _ -> assert false
+
+let print_info (h : Umrs_store.Corpus.header) =
+  pf "corpus: p=%d q=%d d=%d count=%d checksum=%016Lx@." h.Umrs_store.Corpus.p
+    h.Umrs_store.Corpus.q h.Umrs_store.Corpus.d h.Umrs_store.Corpus.count
+    h.Umrs_store.Corpus.checksum
+
+let client_ok what = function
+  | Ok v -> v
+  | Error e -> failure "%s: %s" what (Umrs_client.error_to_string e)
+
+(* The two client backends: each request through the client's typed
+   call, in order; the first error is a failure. *)
+let ask_each ctx ~nth ~mem ~rank ~range_prefix ~cgraph requests =
+  List.iter
+    (fun r ->
+      let flag =
+        match r with
+        | Q.Nth _ -> "--nth" | Q.Mem _ -> "--mem" | Q.Rank _ -> "--rank"
+        | Q.Range_prefix _ -> "--prefix" | Q.Cgraph_of _ -> "--cgraph"
+      in
+      let ok x = client_ok (ctx ^ " " ^ flag) x in
+      print_answer r
+        (match r with
+        | Q.Nth i -> Q.R_matrix (ok (nth i))
+        | Q.Mem m -> Q.R_found (ok (mem m))
+        | Q.Rank m -> Q.R_rank (ok (rank m))
+        | Q.Range_prefix p ->
+          let lo, hi = ok (range_prefix p) in
+          Q.R_range (lo, hi)
+        | Q.Cgraph_of i -> Q.R_graph (ok (cgraph i))))
+    requests
 
 (* ---------- commands ---------- *)
 
@@ -184,11 +352,21 @@ let simulate_cmd =
   let run family size seed scheme_name pairs loss dead telemetry =
     with_telemetry telemetry @@ fun () ->
     let g = graph_of_family ~seed family size in
+    let n = Graph.order g in
+    let dead_links =
+      List.map
+        (fun s ->
+          match List.map int_of_string_opt (String.split_on_char '-' s) with
+          | [ Some u; Some v ]
+            when u >= 0 && u < n && v >= 0 && v < n
+                 && Graph.port_to g ~src:u ~dst:v <> None ->
+            (u, v)
+          | _ -> usage_error "simulate: --dead %s is not an edge U-V of %s" s family)
+        dead
+    in
     let scheme = scheme_of_name ~seed scheme_name in
-    let b = scheme.Scheme.build g in
-    let rf = b.Scheme.rf in
+    let rf = (scheme.Scheme.build g).Scheme.rf in
     let st = Random.State.make [| seed; 0x51 |] in
-    let n = Umrs_graph.Graph.order rf.Routing_function.graph in
     let packet_pairs =
       match pairs with
       | 0 ->
@@ -207,14 +385,6 @@ let simulate_cmd =
               if v = u then draw () else v
             in
             (u, draw ()))
-    in
-    let dead_links =
-      List.filter_map
-        (fun s ->
-          match String.split_on_char '-' s with
-          | [ a; b ] -> Some (int_of_string a, int_of_string b)
-          | _ -> None)
-        dead
     in
     let stats =
       if dead_links <> [] then
@@ -245,17 +415,16 @@ let simulate_cmd =
           $ loss $ dead $ telemetry_arg)
 
 let canon_cmd =
-  let run s variant =
-    let m = Matrix.of_string s in
+  let run m variant =
     pf "input:     %s@." (Matrix.to_string m);
     pf "canonical: %s@." (Matrix.to_string (Canonical.canonical ~variant m))
   in
   Cmd.v
     (Cmd.info "canon" ~doc:"Canonical representative of a matrix (Definition 2).")
-    Term.(const run $ matrix_arg $ variant_arg)
+    Term.(const run $ matrix_arg () $ variant_arg)
 
 let enumerate_cmd =
-  let run p q d variant telemetry =
+  let run (p, q, d) variant telemetry =
     with_telemetry telemetry @@ fun () ->
     let set = Enumerate.canonical_set ~variant ~p ~q ~d () in
     pf "|%dM(%d,%d)| = %d@." d p q (List.length set);
@@ -265,12 +434,10 @@ let enumerate_cmd =
           (Enumerate.class_size ~variant ~p ~q ~d m))
       set
   in
-  let p = Arg.(value & opt int 2 & info [ "p" ] ~doc:"Rows.") in
-  let q = Arg.(value & opt int 2 & info [ "q" ] ~doc:"Columns.") in
-  let d = Arg.(value & opt int 3 & info [ "d" ] ~doc:"Entry bound.") in
   Cmd.v
     (Cmd.info "enumerate" ~doc:"Enumerate the canonical set dM(p,q).")
-    Term.(const run $ p $ q $ d $ variant_arg $ telemetry_arg)
+    Term.(const run $ instance_arg ~capped:true (2, 2, 3) $ variant_arg
+          $ telemetry_arg)
 
 let corpus_cmd =
   let variant_label = function
@@ -291,9 +458,16 @@ let corpus_cmd =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE"
            ~doc:"Corpus file.")
   in
+  (* A FILE that cannot be read or is damaged is a failure, as it is
+     for corpus query. *)
+  let read cmd f path =
+    try f ~path with
+    | Invalid_argument msg -> failure "corpus %s: %s: %s" cmd path msg
+    | Sys_error msg -> failure "corpus %s: %s" cmd msg
+  in
   let build_cmd =
-    let run p q d variant out domains checkpoint_dir checkpoint_every resume
-        telemetry =
+    let run (p, q, d) variant out domains checkpoint_dir checkpoint_every
+        resume telemetry =
       with_telemetry telemetry @@ fun () ->
       match
         Umrs_store.Builder.build ~variant ?domains ?checkpoint_dir
@@ -315,9 +489,6 @@ let corpus_cmd =
       | exception Invalid_argument msg ->
         usage_error "corpus build: %s" msg
     in
-    let p = Arg.(value & opt int 2 & info [ "p" ] ~doc:"Rows.") in
-    let q = Arg.(value & opt int 2 & info [ "q" ] ~doc:"Columns.") in
-    let d = Arg.(value & opt int 3 & info [ "d" ] ~doc:"Entry bound.") in
     let out =
       Arg.(required & opt (some string) None & info [ "o"; "out" ] ~docv:"FILE"
              ~doc:"Output corpus file.")
@@ -344,41 +515,30 @@ let corpus_cmd =
       (Cmd.info "build"
          ~doc:"Enumerate dM(p,q) and stream it to a corpus file, with \
                optional crash-safe checkpointing.")
-      Term.(const run $ p $ q $ d $ variant_arg $ out $ domains
-            $ checkpoint_dir $ checkpoint_every $ resume $ telemetry_arg)
+      Term.(const run $ instance_arg ~capped:true (2, 2, 3) $ variant_arg $ out
+            $ domains $ checkpoint_dir $ checkpoint_every $ resume
+            $ telemetry_arg)
   in
   let info_cmd =
-    let run path =
-      match Umrs_store.Corpus.info ~path with
-      | h -> pp_header h
-      | exception Invalid_argument msg ->
-        usage_error "corpus info: %s: %s" path msg
-      | exception Sys_error msg ->
-        usage_error "corpus info: %s" msg
-    in
+    let run path = pp_header (read "info" Umrs_store.Corpus.info path) in
     Cmd.v
       (Cmd.info "info" ~doc:"Print a corpus file's header.")
       Term.(const run $ file_arg)
   in
   let verify_cmd =
     let run path =
-      match Umrs_store.Corpus.verify ~path with
-      | v ->
-        pp_header v.Umrs_store.Corpus.v_header;
-        if v.Umrs_store.Corpus.v_problems = [] then
-          pf "verify: OK (%d records, checksum %016Lx)@."
-            v.Umrs_store.Corpus.v_records_read
-            v.Umrs_store.Corpus.v_computed_checksum
-        else begin
-          List.iter
-            (fun s -> pf "verify: PROBLEM: %s@." s)
-            v.Umrs_store.Corpus.v_problems;
-          exit 1
-        end
-      | exception Invalid_argument msg ->
-        usage_error "corpus verify: %s: %s" path msg
-      | exception Sys_error msg ->
-        usage_error "corpus verify: %s" msg
+      let v = read "verify" Umrs_store.Corpus.verify path in
+      pp_header v.Umrs_store.Corpus.v_header;
+      if v.Umrs_store.Corpus.v_problems = [] then
+        pf "verify: OK (%d records, checksum %016Lx)@."
+          v.Umrs_store.Corpus.v_records_read
+          v.Umrs_store.Corpus.v_computed_checksum
+      else begin
+        List.iter
+          (fun s -> pf "verify: PROBLEM: %s@." s)
+          v.Umrs_store.Corpus.v_problems;
+        exit 1
+      end
     in
     Cmd.v
       (Cmd.info "verify"
@@ -388,28 +548,18 @@ let corpus_cmd =
   in
   let show_cmd =
     let run path =
-      match Umrs_store.Corpus.load ~path with
-      | h, set ->
-        pf "|%dM(%d,%d)| = %d (%s variant, from %s)@." h.Umrs_store.Corpus.d
-          h.Umrs_store.Corpus.p h.Umrs_store.Corpus.q (List.length set)
-          (variant_label h.Umrs_store.Corpus.variant)
-          path;
-        List.iter (fun m -> pf "%s@." (Matrix.to_string m)) set
-      | exception Invalid_argument msg ->
-        usage_error "corpus show: %s: %s" path msg
-      | exception Sys_error msg ->
-        usage_error "corpus show: %s" msg
+      let h, set = read "show" Umrs_store.Corpus.load path in
+      pf "|%dM(%d,%d)| = %d (%s variant, from %s)@." h.Umrs_store.Corpus.d
+        h.Umrs_store.Corpus.p h.Umrs_store.Corpus.q (List.length set)
+        (variant_label h.Umrs_store.Corpus.variant)
+        path;
+      List.iter (fun m -> pf "%s@." (Matrix.to_string m)) set
     in
     Cmd.v
       (Cmd.info "show"
          ~doc:"Load a corpus and print its matrices (the load-from-disk \
                path later workloads use).")
       Term.(const run $ file_arg)
-  in
-  let fail_query_error ctx e =
-    Printf.eprintf "routing_lab: corpus %s: %s\n" ctx
-      (Umrs_store.Query.error_to_string e);
-    exit 1
   in
   let index_arg =
     Arg.(value & opt (some string) None & info [ "index" ] ~docv:"FILE"
@@ -427,7 +577,7 @@ let corpus_cmd =
              ~default:(Umrs_store.Query.index_path path));
         pf "index checksum %016Lx (corpus %016Lx)@."
           m.Umrs_store.Query.x_checksum m.Umrs_store.Query.x_corpus_checksum
-      | Error e -> fail_query_error "index" e
+      | Error e -> failure "corpus index: %s" (Q.error_to_string e)
       | exception Invalid_argument msg ->
         usage_error "corpus index: %s" msg
     in
@@ -447,96 +597,19 @@ let corpus_cmd =
       Term.(const run $ file_arg $ stride $ out)
   in
   let query_cmd =
-    let parse_prefix s =
-      let fields =
-        String.split_on_char ' ' (String.map (function ',' -> ' ' | c -> c) s)
-        |> List.filter (fun f -> f <> "")
-      in
-      try Array.of_list (List.map int_of_string fields)
-      with Failure _ ->
-        usage_error "corpus query: bad prefix %S (expected integers)" s
-    in
-    let run path index nths mems ranks prefixes cgraphs domains telemetry =
+    let run path index requests domains telemetry =
+      if requests = [] then
+        usage_error
+          "corpus query: no requests (use --nth/--mem/--rank/--prefix/--cgraph)";
       with_telemetry telemetry @@ fun () ->
-      match Umrs_store.Query.open_ ~corpus:path ?index () with
-      | Error e -> fail_query_error "query" e
+      match Q.open_ ~corpus:path ?index () with
+      | Error e -> failure "corpus query: %s" (Q.error_to_string e)
       | Ok t ->
-        Fun.protect ~finally:(fun () -> Umrs_store.Query.close t) @@ fun () ->
-        let requests =
-          List.concat
-            [ List.map (fun i -> Umrs_store.Query.Nth i) nths;
-              List.map
-                (fun s -> Umrs_store.Query.Mem (Matrix.of_string s))
-                mems;
-              List.map
-                (fun s -> Umrs_store.Query.Rank (Matrix.of_string s))
-                ranks;
-              List.map
-                (fun s -> Umrs_store.Query.Range_prefix (parse_prefix s))
-                prefixes;
-              List.map (fun i -> Umrs_store.Query.Cgraph_of i) cgraphs ]
-          |> Array.of_list
-        in
-        if Array.length requests = 0 then
-          usage_error
-            "corpus query: no requests (use --nth/--mem/--rank/--prefix/\
-             --cgraph)";
-        (match Umrs_store.Query.batch ?domains t requests with
-        | responses ->
-          Array.iteri
-            (fun i resp ->
-              match (requests.(i), resp) with
-              | Umrs_store.Query.Nth n, Umrs_store.Query.R_matrix m ->
-                pf "nth %d: %s@." n (Matrix.to_string m)
-              | Umrs_store.Query.Mem m, Umrs_store.Query.R_found b ->
-                pf "mem %s: %b@." (Matrix.to_string m) b
-              | Umrs_store.Query.Rank m, Umrs_store.Query.R_rank r ->
-                pf "rank %s: %d@." (Matrix.to_string m) r
-              | Umrs_store.Query.Range_prefix p, Umrs_store.Query.R_range (lo, hi)
-                ->
-                pf "prefix [%s]: records [%d, %d) - %d matching@."
-                  (String.concat " "
-                     (Array.to_list (Array.map string_of_int p)))
-                  lo hi (hi - lo)
-              | Umrs_store.Query.Cgraph_of n, Umrs_store.Query.R_graph t ->
-                pf "cgraph %d:@." n;
-                pf "%a@." Graph.pp t.Cgraph.graph;
-                pf "constrained: %a@."
-                  (Format.pp_print_array
-                     ~pp_sep:(fun f () -> Format.pp_print_char f ' ')
-                     Format.pp_print_int)
-                  t.Cgraph.constrained;
-                pf "targets:     %a@."
-                  (Format.pp_print_array
-                     ~pp_sep:(fun f () -> Format.pp_print_char f ' ')
-                     Format.pp_print_int)
-                  t.Cgraph.targets
-              | _ -> assert false)
-            responses
-        | exception Invalid_argument msg ->
-          usage_error "corpus query: %s" msg)
-    in
-    let nths =
-      Arg.(value & opt_all int [] & info [ "nth" ] ~docv:"I"
-             ~doc:"Fetch record I of the sorted corpus (repeatable).")
-    in
-    let mems =
-      Arg.(value & opt_all string [] & info [ "mem" ] ~docv:"MATRIX"
-             ~doc:"Membership of a matrix like \"[1 2; 1 1]\" (repeatable).")
-    in
-    let ranks =
-      Arg.(value & opt_all string [] & info [ "rank" ] ~docv:"MATRIX"
-             ~doc:"Number of records strictly below MATRIX (repeatable).")
-    in
-    let prefixes =
-      Arg.(value & opt_all string [] & info [ "prefix" ] ~docv:"ENTRIES"
-             ~doc:"Record range whose row-major entries start with ENTRIES, \
-                   e.g. \"1 2\" (repeatable).")
-    in
-    let cgraphs =
-      Arg.(value & opt_all int [] & info [ "cgraph" ] ~docv:"I"
-             ~doc:"Materialize the Lemma-2 graph of constraints of record I \
-                   (repeatable).")
+        Fun.protect ~finally:(fun () -> Q.close t) @@ fun () ->
+        let requests = Array.of_list requests in
+        (match Q.batch ?domains t requests with
+        | responses -> Array.iter2 print_answer requests responses
+        | exception Invalid_argument msg -> usage_error "corpus query: %s" msg)
     in
     let domains =
       Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"K"
@@ -548,8 +621,8 @@ let corpus_cmd =
          ~doc:"Point and batched queries against an indexed corpus: record \
                fetch, membership, rank, prefix ranges, graphs of \
                constraints - all without loading the file.")
-      Term.(const run $ file_arg $ index_arg $ nths $ mems $ ranks $ prefixes
-            $ cgraphs $ domains $ telemetry_arg)
+      Term.(const run $ file_arg $ index_arg $ requests_arg $ domains
+            $ telemetry_arg)
   in
   let shard_cmd =
     let run path shards out_dir stride no_index =
@@ -571,9 +644,7 @@ let corpus_cmd =
              0 pieces)
           shards
           (if shards = 1 then "" else "s")
-      | Error msg ->
-        Printf.eprintf "routing_lab: corpus shard: %s\n" msg;
-        exit 1
+      | Error msg -> failure "corpus shard: %s" msg
       | exception Invalid_argument msg ->
         usage_error "corpus shard: %s" msg
     in
@@ -608,19 +679,10 @@ let corpus_cmd =
       shard_cmd ]
 
 let cgraph_cmd =
-  let run s pad =
-    let m = Matrix.create ((Matrix.of_string s).Matrix.entries) in
+  let run m pad =
     let t = Cgraph.of_matrix m in
     let t = if pad > 0 then Cgraph.pad_to_order t ~n:pad else t in
-    pf "%a@." Graph.pp t.Cgraph.graph;
-    pf "constrained: %a@."
-      (Format.pp_print_array ~pp_sep:(fun f () -> Format.pp_print_char f ' ')
-         Format.pp_print_int)
-      t.Cgraph.constrained;
-    pf "targets:     %a@."
-      (Format.pp_print_array ~pp_sep:(fun f () -> Format.pp_print_char f ' ')
-         Format.pp_print_int)
-      t.Cgraph.targets;
+    print_cgraph t;
     (match Verify.check_cgraph t ~bound:Verify.below_two with
     | Ok () -> pf "forced-port property below stretch 2: OK@."
     | Error vs ->
@@ -641,10 +703,10 @@ let cgraph_cmd =
   Cmd.v
     (Cmd.info "cgraph"
        ~doc:"Build and verify the graph of constraints of a matrix (Lemma 2).")
-    Term.(const run $ matrix_arg $ pad)
+    Term.(const run $ matrix_arg ~strict:true () $ pad)
 
 let lemma1_cmd =
-  let run p q d =
+  let run (p, q, d) =
     pf "d^(pq)                    = %s@." (Bignat.to_string (Count.total_raw ~p ~q ~d));
     pf "bound d^(pq)/(p!q!(d!)^p) = %s@."
       (Bignat.to_string (Count.lemma1_bound ~p ~q ~d));
@@ -654,12 +716,9 @@ let lemma1_cmd =
     | exception Invalid_argument _ ->
       pf "exact |dM(p,q)|           = (too large to enumerate)@."
   in
-  let p = Arg.(value & opt int 2 & info [ "p" ] ~doc:"Rows.") in
-  let q = Arg.(value & opt int 2 & info [ "q" ] ~doc:"Columns.") in
-  let d = Arg.(value & opt int 3 & info [ "d" ] ~doc:"Entry bound.") in
   Cmd.v
     (Cmd.info "lemma1" ~doc:"Lemma 1 counting bound vs the exact count.")
-    Term.(const run $ p $ q $ d)
+    Term.(const run $ instance_arg (2, 2, 3))
 
 let theorem1_cmd =
   let run ns epss =
@@ -681,7 +740,7 @@ let theorem1_cmd =
     Term.(const run $ ns $ epss)
 
 let reconstruct_cmd =
-  let run p q d pad =
+  let run (p, q, d) pad =
     let pad_to = if pad > 0 then Some pad else None in
     let o =
       Reconstruct.run_experiment ?pad_to ~p ~q ~d ~scheme:Table_scheme.build ()
@@ -693,14 +752,11 @@ let reconstruct_cmd =
       o.Reconstruct.bits_information o.Reconstruct.bits_side
       o.Reconstruct.bits_net
   in
-  let p = Arg.(value & opt int 2 & info [ "p" ] ~doc:"Rows.") in
-  let q = Arg.(value & opt int 2 & info [ "q" ] ~doc:"Columns.") in
-  let d = Arg.(value & opt int 3 & info [ "d" ] ~doc:"Entry bound.") in
   let pad = Arg.(value & opt int 0 & info [ "pad" ] ~doc:"Pad graphs to order N.") in
   Cmd.v
     (Cmd.info "reconstruct"
        ~doc:"Theorem 1 end-to-end: build, route, rebuild every matrix of dM(p,q).")
-    Term.(const run $ p $ q $ d $ pad)
+    Term.(const run $ instance_arg ~capped:true (2, 2, 3) $ pad)
 
 let compare_cmd =
   let run family size seed csv =
@@ -820,8 +876,7 @@ let optimize_cmd =
     Term.(const run $ family_arg $ size_arg 16 $ seed_arg $ steps)
 
 let orbit_cmd =
-  let run s d positional =
-    let m = Matrix.of_string s in
+  let run m d positional =
     if positional then
       pf "positional orbit size: %d@." (Orbit.size_positional m)
     else pf "full-group orbit size: %d@." (Orbit.size ~d m)
@@ -832,31 +887,25 @@ let orbit_cmd =
   in
   Cmd.v
     (Cmd.info "orbit" ~doc:"Orbit size of a matrix under the Definition-2 group.")
-    Term.(const run $ matrix_arg $ d $ positional)
+    Term.(const run $ matrix_arg () $ d $ positional)
 
 let burnside_cmd =
-  let run p q d =
+  let run (p, q, d) =
     pf "positional |%dM(%d,%d)| (Burnside) = %s@." d p q
       (Bignat.to_string (Count.positional_exact ~p ~q ~d))
   in
-  let p = Arg.(value & opt int 2 & info [ "p" ] ~doc:"Rows.") in
-  let q = Arg.(value & opt int 2 & info [ "q" ] ~doc:"Columns.") in
-  let d = Arg.(value & opt int 2 & info [ "d" ] ~doc:"Entry bound.") in
   Cmd.v
     (Cmd.info "burnside"
        ~doc:"Exact positional class count via Burnside's lemma (any d).")
-    Term.(const run $ p $ q $ d)
+    Term.(const run $ instance_arg (2, 2, 2))
 
 let estimate_cmd =
-  let run p q d samples seed positional =
+  let run (p, q, d) samples seed positional =
     let st = Random.State.make [| seed |] in
     let e = Orbit.estimate_classes ~positional st ~samples ~p ~q ~d in
     pf "estimated |%dM(%d,%d)| = %.2f +- %.2f (%d samples)@." d p q
       e.Orbit.mean e.Orbit.std_error e.Orbit.samples
   in
-  let p = Arg.(value & opt int 3 & info [ "p" ] ~doc:"Rows (<= 4).") in
-  let q = Arg.(value & opt int 3 & info [ "q" ] ~doc:"Columns (<= 4).") in
-  let d = Arg.(value & opt int 3 & info [ "d" ] ~doc:"Entry bound (<= 4).") in
   let samples = Arg.(value & opt int 200 & info [ "samples" ] ~doc:"Samples.") in
   let positional =
     Arg.(value & flag & info [ "positional" ] ~doc:"Rows+columns group only.")
@@ -864,7 +913,8 @@ let estimate_cmd =
   Cmd.v
     (Cmd.info "estimate"
        ~doc:"Monte-Carlo estimate of |dM(p,q)| by orbit sampling.")
-    Term.(const run $ p $ q $ d $ samples $ seed_arg $ positional)
+    Term.(const run $ instance_arg ~max:4 (3, 3, 3) $ samples $ seed_arg
+          $ positional)
 
 let dot_cmd =
   let run family size seed ports =
@@ -1111,9 +1161,7 @@ let serve_cmd =
         cache_capacity = cache; corpus; index; max_conns }
     in
     match Umrs_server.Server.start cfg with
-    | Error msg ->
-      Printf.eprintf "routing_lab: serve: %s\n" msg;
-      exit 1
+    | Error msg -> failure "serve: %s" msg
     | Ok srv ->
       Umrs_server.Server.install_signal_handlers srv;
       pf "serving on %s (%d worker%s, queue %d, cache %d, max-conns %d%s)@."
@@ -1161,72 +1209,32 @@ let serve_cmd =
 
 let remote_cmd =
   let module C = Umrs_client in
-  let fail_client ctx e =
-    Printf.eprintf "routing_lab: remote %s: %s\n" ctx (C.error_to_string e);
-    exit 1
-  in
-  let ok ctx = function Ok v -> v | Error e -> fail_client ctx e in
-  let run addr retries deadline ping want_stats want_info nths mems ranks
-      prefixes cgraphs eval_scheme family size seed sleep =
-    let c = ok "connect" (C.connect ~retries addr) in
+  let run addr retries deadline_ms ping want_stats want_info requests
+      eval_scheme family size seed sleep =
+    let evaluation =
+      Option.map (fun s -> (s, graph_of_family ~seed family size)) eval_scheme
+    in
+    let c = client_ok "remote connect" (C.connect ~retries addr) in
     Fun.protect ~finally:(fun () -> C.close c) @@ fun () ->
-    let deadline_ms = deadline in
     if ping then begin
-      ok "ping" (C.ping c);
+      client_ok "remote ping" (C.ping c);
       pf "ping: ok@."
     end;
-    if want_info then begin
-      let h = ok "info" (C.corpus_info c) in
-      pf "corpus: p=%d q=%d d=%d count=%d checksum=%016Lx@."
-        h.Umrs_store.Corpus.p h.Umrs_store.Corpus.q h.Umrs_store.Corpus.d
-        h.Umrs_store.Corpus.count h.Umrs_store.Corpus.checksum
-    end;
-    List.iter
-      (fun i ->
-        let m = ok "nth" (C.nth c i) in
-        pf "nth %d: %s@." i (Matrix.to_string m))
-      nths;
-    List.iter
-      (fun s ->
-        let m = Matrix.of_string s in
-        pf "mem %s: %b@." s (ok "mem" (C.mem c m)))
-      mems;
-    List.iter
-      (fun s ->
-        let m = Matrix.of_string s in
-        pf "rank %s: %d@." s (ok "rank" (C.rank c m)))
-      ranks;
-    List.iter
-      (fun s ->
-        let prefix =
-          String.split_on_char ' ' (String.map (function ',' -> ' ' | c -> c) s)
-          |> List.filter (fun f -> f <> "")
-          |> List.map int_of_string |> Array.of_list
-        in
-        let lo, hi = ok "prefix" (C.range_prefix c prefix) in
-        pf "prefix [%s]: records [%d, %d) - %d matching@." s lo hi (hi - lo))
-      prefixes;
-    List.iter
-      (fun i ->
-        let t = ok "cgraph" (C.cgraph c i) in
-        pf "cgraph %d:@." i;
-        pf "%a@." Graph.pp t.Cgraph.graph)
-      cgraphs;
-    (match eval_scheme with
+    if want_info then print_info (client_ok "remote info" (C.corpus_info c));
+    ask_each "remote" ~nth:(C.nth c) ~mem:(C.mem c) ~rank:(C.rank c)
+      ~range_prefix:(C.range_prefix c) ~cgraph:(C.cgraph c) requests;
+    (match evaluation with
     | None -> ()
-    | Some scheme ->
-      let g = graph_of_family ~seed family size in
-      let e =
-        ok "evaluate" (C.evaluate c ~deadline_ms ~scheme ~graph_name:family g)
-      in
-      pf "%a@." Scheme.pp_evaluation e);
+    | Some (scheme, g) ->
+      pf "%a@." Scheme.pp_evaluation
+        (client_ok "remote evaluate"
+           (C.evaluate c ~deadline_ms ~scheme ~graph_name:family g)));
     (match sleep with
     | None -> ()
     | Some ms ->
-      let slept = ok "sleep" (C.sleep_ms c ~deadline_ms ms) in
-      pf "slept %d ms@." slept);
+      pf "slept %d ms@." (client_ok "remote sleep" (C.sleep_ms c ~deadline_ms ms)));
     if want_stats then begin
-      let s = ok "stats" (C.stats c) in
+      let s = client_ok "remote stats" (C.stats c) in
       pf "connections=%d requests=%d overloaded=%d timeouts=%d rejected=%d@."
         s.Umrs_server.Wire.st_connections s.Umrs_server.Wire.st_requests
         s.Umrs_server.Wire.st_overloaded s.Umrs_server.Wire.st_timeouts
@@ -1257,26 +1265,6 @@ let remote_cmd =
   let want_info =
     Arg.(value & flag & info [ "info" ] ~doc:"Print the served corpus header.")
   in
-  let nths =
-    Arg.(value & opt_all int [] & info [ "nth" ] ~docv:"I"
-           ~doc:"Fetch record I (repeatable).")
-  in
-  let mems =
-    Arg.(value & opt_all string [] & info [ "mem" ] ~docv:"MATRIX"
-           ~doc:"Membership query (repeatable).")
-  in
-  let ranks =
-    Arg.(value & opt_all string [] & info [ "rank" ] ~docv:"MATRIX"
-           ~doc:"Rank query (repeatable).")
-  in
-  let prefixes =
-    Arg.(value & opt_all string [] & info [ "prefix" ] ~docv:"ENTRIES"
-           ~doc:"Prefix range query (repeatable).")
-  in
-  let cgraphs =
-    Arg.(value & opt_all int [] & info [ "cgraph" ] ~docv:"I"
-           ~doc:"Fetch the graph of constraints of record I (repeatable).")
-  in
   let eval_scheme =
     Arg.(value & opt (some string) None & info [ "evaluate" ] ~docv:"SCHEME"
            ~doc:"Evaluate a registered scheme server-side on --graph/--size.")
@@ -1290,12 +1278,12 @@ let remote_cmd =
        ~doc:"Query a running serve instance: ping, stats, corpus lookups, \
              remote evaluation.")
     Term.(const run $ addr_arg $ retries $ deadline $ ping $ stats $ want_info
-          $ nths $ mems $ ranks $ prefixes $ cgraphs $ eval_scheme $ family_arg
-          $ size_arg 16 $ seed_arg $ sleep)
+          $ requests_arg $ eval_scheme $ family_arg $ size_arg 16 $ seed_arg
+          $ sleep)
 
 let chaos_cmd =
-  let run fault_seed crash_matrix p q d domains checkpoint_every intensities
-      requests workers telemetry =
+  let run fault_seed crash_matrix (p, q, d) domains checkpoint_every
+      intensities requests workers telemetry =
     with_telemetry telemetry @@ fun () ->
     let tmp = Filename.temp_file "umrs_chaos" "" in
     Sys.remove tmp;
@@ -1327,10 +1315,7 @@ let chaos_cmd =
       ignore (Umrs_store.Builder.build ~p ~q ~d ~out:corpus ());
       (match Umrs_store.Query.build ~corpus () with
       | Ok _ -> ()
-      | Error e ->
-        Printf.eprintf "routing_lab: chaos: index build: %s\n"
-          (Umrs_store.Query.error_to_string e);
-        exit 1);
+      | Error e -> failure "chaos: index build: %s" (Q.error_to_string e));
       let intensities =
         if intensities = [] then [ 0.02; 0.10 ] else intensities
       in
@@ -1344,9 +1329,7 @@ let chaos_cmd =
             Umrs_chaos.Storm.run_level ~seed:fault_seed ~requests ~workers
               ~intensity ~corpus ~addr:(Umrs_server.Wire.Unix_sock sock) ()
           with
-          | Error e ->
-            Printf.eprintf "routing_lab: chaos: storm %.2f: %s\n" intensity e;
-            exit 1
+          | Error e -> failure "chaos: storm %.2f: %s" intensity e
           | Ok l ->
             pf "storm %.2f: %d ok / %d degraded / %d failed, %d worker \
                 crash%s, recovery p50 %.1fms p95 %.1fms (%.2fs)@."
@@ -1372,9 +1355,6 @@ let chaos_cmd =
                  build and check atomic publication + byte-identical \
                  resume at each.")
   in
-  let p = Arg.(value & opt int 2 & info [ "p" ] ~doc:"Rows.") in
-  let q = Arg.(value & opt int 4 & info [ "q" ] ~doc:"Columns.") in
-  let d = Arg.(value & opt int 3 & info [ "d" ] ~doc:"Entry bound.") in
   let domains =
     Arg.(value & opt int 1 & info [ "domains" ] ~docv:"K"
            ~doc:"Builder domains for --crash-matrix.")
@@ -1401,9 +1381,9 @@ let chaos_cmd =
        ~doc:"Fault-injection drills: storm a live server through a seeded \
              fault schedule, or sweep simulated power loss across every \
              fault point of a corpus build (--crash-matrix).")
-    Term.(const run $ fault_seed $ crash_matrix $ p $ q $ d $ domains
-          $ checkpoint_every $ intensities $ requests $ workers
-          $ telemetry_arg)
+    Term.(const run $ fault_seed $ crash_matrix
+          $ instance_arg ~capped:true (2, 4, 3) $ domains $ checkpoint_every
+          $ intensities $ requests $ workers $ telemetry_arg)
 
 (* ---------- cluster ---------- *)
 
@@ -1414,13 +1394,17 @@ let cluster_cmd =
   let serve_cmd =
     let run corpus shards dir replicas workers queue cache map_version
         kill_primaries kill_after =
+      List.iter
+        (fun k ->
+          if k < 0 || k >= shards then
+            usage_error "cluster serve: --kill-primary %d: no such shard \
+                         (--shards %d)" k shards)
+        kill_primaries;
       match
         Cluster.start ~corpus ~shards ~dir ~replicas ~workers
           ~queue_capacity:queue ~cache_capacity:cache ~map_version ()
       with
-      | Error msg ->
-        Printf.eprintf "routing_lab: cluster serve: %s\n" msg;
-        exit 1
+      | Error msg -> failure "cluster serve: %s" msg
       | Ok cl ->
         pf "cluster up: %d shard%s x %d node%s (map v%d -> %s)@." shards
           (if shards = 1 then "" else "s")
@@ -1438,35 +1422,22 @@ let cluster_cmd =
                 ", replicas "
                 ^ String.concat ", " (List.map Wire.addr_to_string rs)))
           (Cluster.map cl).Wire.sm_shards;
-        let stop = Atomic.make false in
-        let drain _ = Atomic.set stop true in
-        Sys.set_signal Sys.sigterm (Sys.Signal_handle drain);
-        Sys.set_signal Sys.sigint (Sys.Signal_handle drain);
+        let wait = signal_wait () in
         pf "SIGTERM/SIGINT drain every node and exit@.";
         (* the node-loss drill: kill the named primaries after a delay,
            under whatever live traffic the operator is running *)
-        (match (kill_primaries, kill_after) with
-        | [], _ -> ()
-        | ks, delay ->
+        if kill_primaries <> [] then
           ignore
             (Thread.create
                (fun () ->
-                 Unix.sleepf delay;
+                 Unix.sleepf kill_after;
                  List.iter
                    (fun k ->
-                     if k < 0 || k >= shards then
-                       Printf.eprintf
-                         "routing_lab: cluster serve: no shard %d to kill\n" k
-                     else begin
-                       pf "drill: killing primary of shard %d@." k;
-                       Cluster.kill_primary cl k
-                     end)
-                   ks)
-               ()));
-        while not (Atomic.get stop) do
-          try Unix.sleepf 0.2
-          with Unix.Unix_error (Unix.EINTR, _, _) -> ()
-        done;
+                     pf "drill: killing primary of shard %d@." k;
+                     Cluster.kill_primary cl k)
+                   kill_primaries)
+               ());
+        wait ();
         Cluster.wait cl;
         pf "cluster drained (%d worker crash%s)@."
           (Cluster.worker_crashes cl)
@@ -1523,26 +1494,15 @@ let cluster_cmd =
             $ cache $ map_version $ kill_primaries $ kill_after)
   in
   let query_cmd =
-    let fail_client ctx e =
-      Printf.eprintf "routing_lab: cluster query: %s: %s\n" ctx
-        (Umrs_client.error_to_string e);
-      exit 1
-    in
-    let ok ctx = function Ok v -> v | Error e -> fail_client ctx e in
-    let run addr ping want_info want_map nths mems ranks prefixes cgraphs
-        want_stats =
-      let c = ok "fetch" (Cl.fetch addr) in
+    let run addr ping want_info want_map requests want_stats =
+      let c = client_ok "cluster query fetch" (Cl.fetch addr) in
       Fun.protect ~finally:(fun () -> Cl.close c) @@ fun () ->
       if ping then begin
-        ok "ping" (Cl.ping c);
+        client_ok "cluster query ping" (Cl.ping c);
         pf "ping: every shard group answered@."
       end;
-      if want_info then begin
-        let h = ok "info" (Cl.corpus_info c) in
-        pf "corpus: p=%d q=%d d=%d count=%d checksum=%016Lx@."
-          h.Umrs_store.Corpus.p h.Umrs_store.Corpus.q h.Umrs_store.Corpus.d
-          h.Umrs_store.Corpus.count h.Umrs_store.Corpus.checksum
-      end;
+      if want_info then
+        print_info (client_ok "cluster query info" (Cl.corpus_info c));
       if want_map then begin
         let m = Cl.map c in
         pf "shard map v%d: %d records over %d shard%s@." m.Wire.sm_version
@@ -1558,36 +1518,8 @@ let cluster_cmd =
               (if List.length sh.Wire.sh_replicas = 1 then "" else "s"))
           m.Wire.sm_shards
       end;
-      List.iter
-        (fun i ->
-          let m = ok "nth" (Cl.nth c i) in
-          pf "nth %d: %s@." i (Matrix.to_string m))
-        nths;
-      List.iter
-        (fun s ->
-          pf "mem %s: %b@." s (ok "mem" (Cl.mem c (Matrix.of_string s))))
-        mems;
-      List.iter
-        (fun s ->
-          pf "rank %s: %d@." s (ok "rank" (Cl.rank c (Matrix.of_string s))))
-        ranks;
-      List.iter
-        (fun s ->
-          let prefix =
-            String.split_on_char ' '
-              (String.map (function ',' -> ' ' | c -> c) s)
-            |> List.filter (fun f -> f <> "")
-            |> List.map int_of_string |> Array.of_list
-          in
-          let lo, hi = ok "prefix" (Cl.range_prefix c prefix) in
-          pf "prefix [%s]: records [%d, %d) - %d matching@." s lo hi (hi - lo))
-        prefixes;
-      List.iter
-        (fun i ->
-          let t = ok "cgraph" (Cl.cgraph c i) in
-          pf "cgraph %d:@." i;
-          pf "%a@." Graph.pp t.Cgraph.graph)
-        cgraphs;
+      ask_each "cluster query" ~nth:(Cl.nth c) ~mem:(Cl.mem c) ~rank:(Cl.rank c)
+        ~range_prefix:(Cl.range_prefix c) ~cgraph:(Cl.cgraph c) requests;
       if want_stats then begin
         let s = Cl.stats c in
         pf "routed calls=%d failovers=%d map refreshes=%d@." s.Cl.s_calls
@@ -1606,27 +1538,6 @@ let cluster_cmd =
     let want_map =
       Arg.(value & flag & info [ "map" ] ~doc:"Print the fetched shard map.")
     in
-    let nths =
-      Arg.(value & opt_all int [] & info [ "nth" ] ~docv:"I"
-             ~doc:"Fetch record I by global rank (repeatable).")
-    in
-    let mems =
-      Arg.(value & opt_all string [] & info [ "mem" ] ~docv:"MATRIX"
-             ~doc:"Membership query, routed by key (repeatable).")
-    in
-    let ranks =
-      Arg.(value & opt_all string [] & info [ "rank" ] ~docv:"MATRIX"
-             ~doc:"Global rank query, routed by key (repeatable).")
-    in
-    let prefixes =
-      Arg.(value & opt_all string [] & info [ "prefix" ] ~docv:"ENTRIES"
-             ~doc:"Prefix range query; scatters over the owning shards and \
-                   merges (repeatable).")
-    in
-    let cgraphs =
-      Arg.(value & opt_all int [] & info [ "cgraph" ] ~docv:"I"
-             ~doc:"Graph of constraints of record I (repeatable).")
-    in
     let want_stats =
       Arg.(value & flag & info [ "stats" ]
              ~doc:"Print client routing counters (calls, failovers, \
@@ -1637,8 +1548,8 @@ let cluster_cmd =
          ~doc:"Query a cluster through its shard map: bootstrap from any \
                node, route by rank or key, scatter prefix ranges, fail \
                over to replicas.")
-      Term.(const run $ addr_arg $ ping $ want_info $ want_map $ nths $ mems
-            $ ranks $ prefixes $ cgraphs $ want_stats)
+      Term.(const run $ addr_arg $ ping $ want_info $ want_map $ requests_arg
+            $ want_stats)
   in
   (* write the resolved address where scripts (and the bench harness)
      can find it — port 0 means only the process knows its port *)
@@ -1665,15 +1576,6 @@ let cluster_cmd =
     Arg.(value & opt int 500 & info [ "heartbeat-ms" ] ~docv:"MS"
            ~doc:"Heartbeat interval in milliseconds.")
   in
-  let run_until_signal () =
-    let stop = Atomic.make false in
-    let drain _ = Atomic.set stop true in
-    Sys.set_signal Sys.sigterm (Sys.Signal_handle drain);
-    Sys.set_signal Sys.sigint (Sys.Signal_handle drain);
-    while not (Atomic.get stop) do
-      try Unix.sleepf 0.2 with Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    done
-  in
   let coordinator_cmd =
     let module Co = Umrs_cluster.Coordinator in
     let run corpus dir listen shards heartbeat_ms miss workers addr_file
@@ -1685,9 +1587,7 @@ let cluster_cmd =
           miss_limit = miss; workers }
       in
       match Co.start cfg with
-      | Error msg ->
-        Printf.eprintf "routing_lab: cluster coordinator: %s\n" msg;
-        exit 1
+      | Error msg -> failure "cluster coordinator: %s" msg
       | Ok co ->
         write_addr_file addr_file (Co.addr co);
         pf "coordinator up at %s: %d shard%s, beat %dms, dead after %d \
@@ -1696,8 +1596,9 @@ let cluster_cmd =
           shards
           (if shards = 1 then "" else "s")
           heartbeat_ms miss (Co.map_path co);
+        let wait = signal_wait () in
         pf "SIGTERM/SIGINT drain and exit@.";
-        run_until_signal ();
+        wait ();
         Co.shutdown co;
         Co.wait co;
         pf "coordinator drained: topology v%d, %d death%s, %d promotion%s@."
@@ -1748,9 +1649,7 @@ let cluster_cmd =
           workers }
       in
       match Ms.start cfg with
-      | Error msg ->
-        Printf.eprintf "routing_lab: cluster join: %s\n" msg;
-        exit 1
+      | Error msg -> failure "cluster join: %s" msg
       | Ok node ->
         write_addr_file addr_file (Ms.self_addr node);
         (match Ms.range node with
@@ -1762,8 +1661,9 @@ let cluster_cmd =
             (if Ms.catchups node = 1 then "" else "es")
         | None ->
           pf "joined as %s@." (Wire.addr_to_string (Ms.self_addr node)));
+        let wait = signal_wait () in
         pf "SIGTERM/SIGINT leave gracefully and exit@.";
-        run_until_signal ();
+        wait ();
         Ms.stop node;
         Ms.wait node;
         pf "node left (topology v%d)@." (Ms.version node)
@@ -1803,12 +1703,8 @@ let cluster_cmd =
             $ heartbeat_arg $ workers $ addr_file_arg $ telemetry_arg)
   in
   let with_coordinator ctx addr f =
-    match Umrs_client.connect addr with
-    | Error e ->
-      Printf.eprintf "routing_lab: cluster %s: %s\n" ctx
-        (Umrs_client.error_to_string e);
-      exit 1
-    | Ok c -> Fun.protect ~finally:(fun () -> Umrs_client.close c) (fun () -> f c)
+    let c = client_ok ctx (Umrs_client.connect addr) in
+    Fun.protect ~finally:(fun () -> Umrs_client.close c) (fun () -> f c)
   in
   let reshard_cmd =
     let run addr split merge =
@@ -1819,13 +1715,8 @@ let cluster_cmd =
         | _ ->
           usage_error "cluster reshard: exactly one of --split or --merge"
       in
-      with_coordinator "reshard" addr @@ fun c ->
-      match Umrs_client.reshard c op with
-      | Ok msg -> pf "%s@." msg
-      | Error e ->
-        Printf.eprintf "routing_lab: cluster reshard: %s\n"
-          (Umrs_client.error_to_string e);
-        exit 1
+      with_coordinator "cluster reshard" addr @@ fun c ->
+      pf "%s@." (client_ok "cluster reshard" (Umrs_client.reshard c op))
     in
     let split =
       Arg.(value & opt (some int) None & info [ "split" ] ~docv:"K"
@@ -1844,31 +1735,28 @@ let cluster_cmd =
   in
   let status_cmd =
     let run addr =
-      with_coordinator "status" addr @@ fun c ->
-      match Umrs_client.cluster_status c with
-      | Error e ->
-        Printf.eprintf "routing_lab: cluster status: %s\n"
-          (Umrs_client.error_to_string e);
-        exit 1
-      | Ok (version, published, members) ->
-        pf "topology v%d (%s)@." version
-          (if published then "published" else "NOT published - degraded");
-        List.iter
-          (fun mi ->
-            pf "  %-28s shard %2s  %-7s %s%s beat %.2fs ago  piece %016Lx@."
-              (Wire.addr_to_string mi.Wire.mi_addr)
-              (if mi.Wire.mi_shard < 0 then "-"
-               else string_of_int mi.Wire.mi_shard)
-              (match mi.Wire.mi_state with
-              | Wire.Joining -> "joining"
-              | Wire.Ready -> "ready"
-              | Wire.Dead -> "dead")
-              (if mi.Wire.mi_in_map then "in-map " else "out    ")
-              (if mi.Wire.mi_primary then "primary " else "        ")
-              mi.Wire.mi_beat_age mi.Wire.mi_checksum)
-          (List.sort
-             (fun a b -> compare a.Wire.mi_shard b.Wire.mi_shard)
-             members)
+      with_coordinator "cluster status" addr @@ fun c ->
+      let version, published, members =
+        client_ok "cluster status" (Umrs_client.cluster_status c)
+      in
+      pf "topology v%d (%s)@." version
+        (if published then "published" else "NOT published - degraded");
+      List.iter
+        (fun mi ->
+          pf "  %-28s shard %2s  %-7s %s%s beat %.2fs ago  piece %016Lx@."
+            (Wire.addr_to_string mi.Wire.mi_addr)
+            (if mi.Wire.mi_shard < 0 then "-"
+             else string_of_int mi.Wire.mi_shard)
+            (match mi.Wire.mi_state with
+            | Wire.Joining -> "joining"
+            | Wire.Ready -> "ready"
+            | Wire.Dead -> "dead")
+            (if mi.Wire.mi_in_map then "in-map " else "out    ")
+            (if mi.Wire.mi_primary then "primary " else "        ")
+            mi.Wire.mi_beat_age mi.Wire.mi_checksum)
+        (List.sort
+           (fun a b -> compare a.Wire.mi_shard b.Wire.mi_shard)
+           members)
     in
     Cmd.v
       (Cmd.info "status"

@@ -17,91 +17,59 @@ type scale = {
   trees : cluster_tree array; (* one per cluster *)
 }
 
-let log2_ceil n =
-  let rec go acc x = if x >= n then acc else go (acc + 1) (2 * x) in
-  go 0 1
-
-(* BFS tree of the subgraph induced by [members], rooted at [center];
-   children ordered by the port leading to them. *)
-let build_tree g center members =
-  let inside = Hashtbl.create (Array.length members) in
-  Array.iter (fun v -> Hashtbl.replace inside v ()) members;
-  let parent = Hashtbl.create (Array.length members) in
-  let kids = Hashtbl.create (Array.length members) in
-  let visited = Hashtbl.create (Array.length members) in
-  Hashtbl.replace visited center ();
-  let queue = Queue.create () in
-  Queue.add center queue;
-  while not (Queue.is_empty queue) do
-    let x = Queue.pop queue in
-    Array.iter
-      (fun y ->
-        if Hashtbl.mem inside y && not (Hashtbl.mem visited y) then begin
-          Hashtbl.replace visited y ();
-          Hashtbl.replace parent y x;
-          let cur = Option.value ~default:[] (Hashtbl.find_opt kids x) in
-          Hashtbl.replace kids x (y :: cur);
-          Queue.add y queue
-        end)
-      (Graph.neighbors g x)
+(* The BFS tree of cluster [c], rooted at its center. A cluster is the
+   ball of its radius around its center, and a shortest path from the
+   center stays inside that ball, so the kernel bounded at [radius + 1]
+   reaches exactly the members: first-discoverer parents in port order,
+   each vertex's children discovered, hence listed, in port order, and
+   DFS numbers in that order. *)
+let build_tree ws g (c : Cover.cluster) =
+  Bfs.search ~parents:true ~radius:(c.Cover.radius + 1) ws g c.Cover.center;
+  let m = Bfs.reached ws in
+  let order = Bfs.visit_order ws and parent = Bfs.parent_array ws in
+  let port x y = Option.get (Graph.port_to g ~src:x ~dst:y) in
+  (* positions in the visit order: a vertex's children are queued while
+     it is expanded, so parents come in nondecreasing position *)
+  let up = Array.make m 0 in
+  let j = ref 0 in
+  for k = 1 to m - 1 do
+    while order.(!j) <> parent.(order.(k)) do incr j done;
+    up.(k) <- !j
   done;
-  if Hashtbl.length visited <> Array.length members then
-    invalid_arg "Tree_cover: cluster is not connected";
-  let port x y =
-    match Graph.port_to g ~src:x ~dst:y with
-    | Some k -> k
-    | None -> assert false
-  in
-  let children_of x =
-    Option.value ~default:[] (Hashtbl.find_opt kids x)
-    |> List.sort (fun a b -> compare (port x a) (port x b))
-  in
-  (* DFS numbering *)
-  let dfs_no = Hashtbl.create (Array.length members) in
-  let hi = Hashtbl.create (Array.length members) in
-  let counter = ref 0 in
-  let rec visit x =
-    Hashtbl.replace dfs_no x !counter;
-    incr counter;
-    List.iter visit (children_of x);
-    Hashtbl.replace hi x (!counter - 1)
-  in
-  visit center;
-  let nodes = Hashtbl.create (Array.length members) in
-  Array.iter
-    (fun x ->
-      let parent_port =
-        match Hashtbl.find_opt parent x with
-        | Some p -> port x p
-        | None -> 0
-      in
-      let children =
-        children_of x
-        |> List.map (fun c ->
-               (port x c, Hashtbl.find dfs_no c, Hashtbl.find hi c))
-        |> Array.of_list
-      in
-      Hashtbl.replace nodes x
-        { parent_port; dfs = Hashtbl.find dfs_no x; children })
-    members;
+  let size = Array.make m 1 in
+  for k = m - 1 downto 1 do
+    size.(up.(k)) <- size.(up.(k)) + size.(k)
+  done;
+  (* preorder: each child takes the next free number of its parent *)
+  let dfs = Array.make m 0 and next = Array.make m 1 in
+  for k = 1 to m - 1 do
+    dfs.(k) <- next.(up.(k));
+    next.(up.(k)) <- dfs.(k) + size.(k);
+    next.(k) <- dfs.(k) + 1
+  done;
+  let kids = Array.make m [] in
+  for k = m - 1 downto 1 do
+    let x = order.(up.(k)) in
+    kids.(up.(k)) <-
+      (port x order.(k), dfs.(k), dfs.(k) + size.(k) - 1) :: kids.(up.(k))
+  done;
+  let nodes = Hashtbl.create m in
+  for k = 0 to m - 1 do
+    let x = order.(k) in
+    let parent_port = if k = 0 then 0 else port x parent.(x) in
+    Hashtbl.replace nodes x
+      { parent_port; dfs = dfs.(k); children = Array.of_list kids.(k) }
+  done;
   { nodes }
 
 let prepare g =
   if not (Graph.is_connected g) then
     invalid_arg "Tree_cover: need a connected graph";
-  let diam = max 1 (Bfs.diameter g) in
-  let nscales = 1 + log2_ceil diam in
-  let scales =
-    Array.init nscales (fun i ->
-        let cover = Cover.build g ~r:(1 lsl i) in
-        let trees =
-          Array.map
-            (fun (c : Cover.cluster) -> build_tree g c.Cover.center c.Cover.members)
-            cover.Cover.clusters
-        in
-        { cover; trees })
-  in
-  scales
+  let nscales = 1 + Codes.ceil_log2 (max 1 (Bfs.diameter g)) in
+  let ws = Bfs.workspace () in
+  Array.init nscales (fun i ->
+      let cover = Cover.build g ~r:(1 lsl i) in
+      { cover; trees = Array.map (build_tree ws g) cover.Cover.clusters })
 
 let routing_function g scales =
   let member_node i c v = Hashtbl.find_opt scales.(i).trees.(c).nodes v in

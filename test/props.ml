@@ -1,3 +1,7 @@
+(* Graph oracles the suites check generators and schemes against. *)
+
+open Umrs_graph
+
 let is_tree g = Graph.is_connected g && Graph.size g = Graph.order g - 1
 
 let is_regular g =
@@ -7,14 +11,6 @@ let is_regular g =
   let d = Graph.degree g 0 in
   let rec go v = v >= n || (Graph.degree g v = d && go (v + 1)) in
   go 1
-
-let degree_histogram g =
-  let tbl = Hashtbl.create 16 in
-  for v = 0 to Graph.order g - 1 do
-    let d = Graph.degree g v in
-    Hashtbl.replace tbl d (1 + Option.value ~default:0 (Hashtbl.find_opt tbl d))
-  done;
-  List.sort compare (Hashtbl.fold (fun d c acc -> (d, c) :: acc) tbl [])
 
 let girth g =
   (* BFS from every vertex; an arc that is not a BFS-tree arc, closing
@@ -55,69 +51,6 @@ let is_bipartite g =
   let ok = ref true in
   Graph.iter_arcs g (fun u _ w -> if color.(u) = color.(w) then ok := false);
   !ok
-
-let average_degree g =
-  let n = Graph.order g in
-  if n = 0 then 0.0 else 2.0 *. float_of_int (Graph.size g) /. float_of_int n
-
-(* Tarjan's low-link DFS, iterative-free (graphs here are small enough
-   for recursion). Returns (disc, low, parent). *)
-let lowlink g =
-  let n = Graph.order g in
-  let disc = Array.make n (-1) in
-  let low = Array.make n max_int in
-  let parent = Array.make n (-1) in
-  let timer = ref 0 in
-  let rec dfs v =
-    disc.(v) <- !timer;
-    low.(v) <- !timer;
-    incr timer;
-    Array.iter
-      (fun w ->
-        if disc.(w) = -1 then begin
-          parent.(w) <- v;
-          dfs w;
-          low.(v) <- min low.(v) low.(w)
-        end
-        else if w <> parent.(v) then low.(v) <- min low.(v) disc.(w))
-      (Graph.neighbors g v)
-  in
-  for v = 0 to n - 1 do
-    if disc.(v) = -1 then dfs v
-  done;
-  (disc, low, parent)
-
-let bridges g =
-  let disc, low, parent = lowlink g in
-  let acc = ref [] in
-  for v = 0 to Graph.order g - 1 do
-    let p = parent.(v) in
-    if p >= 0 && low.(v) > disc.(p) then
-      acc := (min p v, max p v) :: !acc
-  done;
-  List.sort compare !acc
-
-let articulation_points g =
-  let disc, low, parent = lowlink g in
-  let n = Graph.order g in
-  let result = Array.make n false in
-  (* root: articulation iff it has >= 2 DFS children *)
-  let children = Array.make n 0 in
-  for v = 0 to n - 1 do
-    if parent.(v) >= 0 then children.(parent.(v)) <- children.(parent.(v)) + 1
-  done;
-  for v = 0 to n - 1 do
-    if parent.(v) = -1 then result.(v) <- children.(v) >= 2
-    else
-      Array.iter
-        (fun w ->
-          if parent.(w) = v && low.(w) >= disc.(v) then result.(v) <- true)
-        (Graph.neighbors g v)
-  done;
-  List.filter (fun v -> result.(v)) (List.init n Fun.id)
-
-let is_biconnected g =
-  Graph.order g >= 3 && Graph.is_connected g && articulation_points g = []
 
 let is_chordal g =
   let n = Graph.order g in

@@ -71,6 +71,27 @@ let test_treecover_memory_vs_tables () =
   let tb = Table_scheme.build g in
   check_true "positive" (Scheme.mem_local tc > 0 && Scheme.mem_local tb > 0)
 
+(* ---------- pinned encodings ---------- *)
+
+(* Test_tz.golden_digest (the description, every router's bits and 200
+   seeded routes) of three seeded graphs, recorded before the cluster
+   trees came from the BFS kernel. *)
+let test_treecover_pinned () =
+  List.iter
+    (fun (name, g, expected) ->
+      Alcotest.(check string) name expected
+        (Test_tz.golden_digest [ g ] Tree_cover_scheme.build))
+    [
+      ( "ba 120",
+        Generators.barabasi_albert (Random.State.make [| 120; 2 |]) ~n:120 ~m:2,
+        "b69779cf612550bf81b7dada890d3d38" );
+      ( "random 90",
+        Generators.random_connected (Random.State.make [| 90; 0x7C |]) ~n:90
+          ~m:150,
+        "c9b30e5a7f537594acb47ac1679a784e" );
+      ("grid 9x7", Generators.grid 9 7, "8e0b4f6d5ba88402b9b2753f35bf28e8");
+    ]
+
 let suite =
   [
     case "covers cover r-balls" test_cover_covers;
@@ -92,4 +113,5 @@ let suite =
         &&
         let s = Stretch_dist.exact b.Scheme.rf in
         s.Stretch_dist.ds_max <= Tree_cover_scheme.stretch_guarantee g);
+    case "tree-cover bits pinned" test_treecover_pinned;
   ]

@@ -5,7 +5,7 @@ let test_path_cycle_complete () =
   check_int "path edges" 4 (Graph.size (Generators.path 5));
   check_int "cycle edges" 5 (Graph.size (Generators.cycle 5));
   check_int "K6 edges" 15 (Graph.size (Generators.complete 6));
-  check_true "K6 regular" (Umrs_graph.Props.is_regular (Generators.complete 6))
+  check_true "K6 regular" (Props.is_regular (Generators.complete 6))
 
 let test_complete_sorted_ports () =
   let g = Generators.complete 5 in

@@ -7,10 +7,6 @@ let test_is_tree () =
   check_true "cycle not" (not (Props.is_tree (Generators.cycle 6)));
   check_true "disconnected not" (not (Props.is_tree (Graph.empty 3)))
 
-let test_degree_histogram () =
-  let h = Props.degree_histogram (Generators.star 5) in
-  check_true "star histogram" (h = [ (1, 4); (4, 1) ])
-
 let test_girth () =
   check_true "tree" (Props.girth (Generators.path 5) = None);
   check_true "triangle" (Props.girth (Generators.complete 4) = Some 3);
@@ -22,14 +18,6 @@ let test_bipartite () =
   check_true "odd cycle not" (not (Props.is_bipartite (Generators.cycle 7)));
   check_true "grid" (Props.is_bipartite (Generators.grid 3 4))
 
-let test_average_degree () =
-  Alcotest.(check (float 1e-9))
-    "cycle" 2.0
-    (Props.average_degree (Generators.cycle 9));
-  Alcotest.(check (float 1e-9))
-    "K5" 4.0
-    (Props.average_degree (Generators.complete 5))
-
 let test_chordal () =
   check_true "complete" (Props.is_chordal (Generators.complete 6));
   check_true "tree" (Props.is_chordal (Generators.path 7));
@@ -39,14 +27,9 @@ let test_chordal () =
 let suite =
   [
     case "is_tree" test_is_tree;
-    case "degree_histogram" test_degree_histogram;
     case "girth" test_girth;
     case "bipartite" test_bipartite;
-    case "average_degree" test_average_degree;
     case "chordal" test_chordal;
-    Gen.prop "histogram sums to order" (Gen.connected_graph ()) (fun g ->
-        List.fold_left (fun acc (_, c) -> acc + c) 0 (Props.degree_histogram g)
-        = Graph.order g);
     Gen.prop "trees are chordal and bipartite" (Gen.tree ()) (fun t ->
         Props.is_chordal t && Props.is_bipartite t);
   ]
