@@ -23,6 +23,10 @@ let die code fmt =
 (* A caller mistake: one line on stderr naming the bad value, exit 2. *)
 let usage_error fmt = die 2 fmt
 
+(* A library function's refusal of the value [what] names (a flag and
+   its value) is a caller mistake as well. *)
+let refused what f = try f () with Invalid_argument msg -> usage_error "%s: %s" what msg
+
 (* A failure: a corpus that is missing or damaged, a socket that does
    not answer, a server's or a peer's error. One line on stderr, exit
    1. *)
@@ -351,6 +355,8 @@ let route_cmd =
 let simulate_cmd =
   let run family size seed scheme_name pairs loss dead telemetry =
     with_telemetry telemetry @@ fun () ->
+    if not (loss >= 0.0 && loss <= 1.0) then
+      usage_error "simulate: --loss %g: must be in [0, 1]" loss;
     let g = graph_of_family ~seed family size in
     let n = Graph.order g in
     let dead_links =
@@ -681,7 +687,11 @@ let corpus_cmd =
 let cgraph_cmd =
   let run m pad =
     let t = Cgraph.of_matrix m in
-    let t = if pad > 0 then Cgraph.pad_to_order t ~n:pad else t in
+    let t =
+      if pad > 0 then
+        refused (Printf.sprintf "cgraph --pad %d" pad) (fun () -> Cgraph.pad_to_order t ~n:pad)
+      else t
+    in
     print_cgraph t;
     (match Verify.check_cgraph t ~bound:Verify.below_two with
     | Ok () -> pf "forced-port property below stretch 2: OK@."
@@ -741,9 +751,12 @@ let theorem1_cmd =
 
 let reconstruct_cmd =
   let run (p, q, d) pad =
-    let pad_to = if pad > 0 then Some pad else None in
-    let o =
+    let run pad_to () =
       Reconstruct.run_experiment ?pad_to ~p ~q ~d ~scheme:Table_scheme.build ()
+    in
+    let o =
+      if pad > 0 then refused (Printf.sprintf "reconstruct --pad %d" pad) (run (Some pad))
+      else run None ()
     in
     pf "classes=%d injective=%b forced=%b recovered=%b@." o.Reconstruct.classes
       o.Reconstruct.injective o.Reconstruct.all_forced
@@ -776,6 +789,9 @@ let compare_cmd =
 let broadcast_cmd =
   let run family size seed root =
     let g = graph_of_family ~seed family size in
+    let n = Graph.order g in
+    if root < 0 || root >= n then
+      usage_error "broadcast: --root %d is not a vertex of %s (n = %d)" root family n;
     let rf = (Table_scheme.build g).Scheme.rf in
     let uni = Collective.broadcast_unicast rf ~root in
     let tree = Collective.broadcast_tree g ~root in
@@ -842,8 +858,12 @@ let save_cmd =
 let global_cmd =
   let run ns =
     List.iter
-      (fun b -> pf "%a@." Lower_bound.pp_global b)
-      (Lower_bound.global_sweep ~ns)
+      (fun n ->
+        let b =
+          refused (Printf.sprintf "global --ns %d" n) (fun () -> Lower_bound.global_theorem ~n)
+        in
+        pf "%a@." Lower_bound.pp_global b)
+      ns
   in
   let ns =
     Arg.(value & opt (list int) [ 1024; 16384; 262144 ]
@@ -877,9 +897,13 @@ let optimize_cmd =
 
 let orbit_cmd =
   let run m d positional =
+    let m' = Matrix.to_string m in
     if positional then
-      pf "positional orbit size: %d@." (Orbit.size_positional m)
-    else pf "full-group orbit size: %d@." (Orbit.size ~d m)
+      pf "positional orbit size: %d@."
+        (refused (Printf.sprintf "orbit %s --positional" m') (fun () -> Orbit.size_positional m))
+    else
+      pf "full-group orbit size: %d@."
+        (refused (Printf.sprintf "orbit %s -d %d" m' d) (fun () -> Orbit.size ~d m))
   in
   let d = Arg.(value & opt int 3 & info [ "d" ] ~doc:"Entry bound.") in
   let positional =
@@ -902,7 +926,10 @@ let burnside_cmd =
 let estimate_cmd =
   let run (p, q, d) samples seed positional =
     let st = Random.State.make [| seed |] in
-    let e = Orbit.estimate_classes ~positional st ~samples ~p ~q ~d in
+    let e =
+      refused (Printf.sprintf "estimate --samples %d" samples) (fun () ->
+          Orbit.estimate_classes ~positional st ~samples ~p ~q ~d)
+    in
     pf "estimated |%dM(%d,%d)| = %.2f +- %.2f (%d samples)@." d p q
       e.Orbit.mean e.Orbit.std_error e.Orbit.samples
   in

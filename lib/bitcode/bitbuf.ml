@@ -6,18 +6,28 @@
    last partly filled byte and in the spare capacity alike. [create]
    and [grow] hand out zeroed bytes, [of_bytes] re-zeroes the padding
    of its last byte, and the writers only OR ones in below the new
-   [len]. So a writer can OR a piece into a byte without clearing it
-   first, and [to_bytes] needs no masking.
+   [len]. So a writer can OR a field in without clearing it first, and
+   [to_bytes] needs no masking.
 
-   Fields move a byte-piece at a time: a field is cut at byte
-   boundaries, and each piece is one masked OR into (or one shift out
-   of) a single byte, put into stream order by [rev8]. Dune's dev
-   profile compiles with -opaque, so the byte accesses are declared
+   A field of up to 55 bits goes in as one word: its bits reversed into
+   stream order through [rev8], shifted to the stream offset within
+   byte [len/8], and ORed into the little-endian 64-bit word that
+   starts at that byte. The offset is at most 7, so the shifted field
+   fits a non-negative int and the word. [ensure] keeps 8 bytes from
+   the byte that will hold the new end of the stream, so the word is
+   always in the buffer; a wider field goes as two such writes. Reads
+   move a byte-piece at a time: a field is cut at byte boundaries,
+   each piece one shift out of a single byte. Dune's dev profile
+   compiles with -opaque, so the byte and word accesses are declared
    here on the bounds-checked primitives rather than called through
    [Bytes], and the hot paths compare ints without [Stdlib.min]. *)
 
 external get_byte : Bytes.t -> int -> int = "%bytes_safe_get"
 external set_byte : Bytes.t -> int -> int -> unit = "%bytes_safe_set"
+external get_word : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+external set_word : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
+external bswap : int64 -> int64 = "%bswap_int64"
+external big_endian : unit -> bool = "%big_endian"
 
 (* [rev8.(v)] is the 8-bit value [v] with its bit order reversed. *)
 let rev8 =
@@ -34,15 +44,17 @@ let create () = { bits = Bytes.make 16 '\000'; len = 0 }
 
 let length b = b.len
 
+(* Room for [extra] more bits plus the 8 bytes a word write among them
+   may touch. *)
 let grow b extra =
-  let need = (b.len + extra + 7) lsr 3 in
+  let need = ((b.len + extra) lsr 3) + 8 in
   let have = Bytes.length b.bits in
   let fresh = Bytes.make (if need > 2 * have then need else 2 * have) '\000' in
   Bytes.blit b.bits 0 fresh 0 have;
   b.bits <- fresh
 
 let ensure b extra =
-  if b.len + extra > Bytes.length b.bits lsl 3 then grow b extra
+  if ((b.len + extra) lsr 3) + 8 > Bytes.length b.bits then grow b extra
 
 let add_bit b bit =
   ensure b 1;
@@ -52,24 +64,39 @@ let add_bit b bit =
   end;
   b.len <- b.len + 1
 
+(* The [width] low bits of [x] in reverse order, [width <= 56]: a byte
+   at a time through [rev8], then shifted down past the bits the last
+   byte added beyond [width]. *)
+let reverse x width =
+  let r = ref 0 and y = ref x and k = ref 0 in
+  while !k < width do
+    r := (!r lsl 8) lor rev8.(!y land 0xff);
+    y := !y lsr 8;
+    k := !k + 8
+  done;
+  !r lsr (!k - width)
+
+(* One field of at most 55 bits at [len], ORed into the word at byte
+   [len/8]. OR acts bytewise, so on a big-endian host the
+   little-endian field is swapped rather than the word. *)
+let put b x width =
+  let pos = b.len in
+  let field = Int64.of_int (reverse x width lsl (pos land 7)) in
+  let i = pos lsr 3 in
+  set_word b.bits i
+    (Int64.logor (get_word b.bits i) (if big_endian () then bswap field else field));
+  b.len <- pos + width
+
 let add_bits b x ~width =
   if width < 0 || width > 62 then invalid_arg "Bitbuf.add_bits: width";
   if x < 0 || (width < 62 && x lsr width <> 0) then
     invalid_arg "Bitbuf.add_bits: value does not fit";
   ensure b width;
-  let bits = b.bits in
-  let pos = ref b.len and rest = ref width in
-  while !rest > 0 do
-    let off = !pos land 7 in
-    let k = if !rest < 8 - off then !rest else 8 - off in
-    (* the field's next [k] bits, reversed into stream order below *)
-    let piece = (x lsr (!rest - k)) land ((1 lsl k) - 1) in
-    let i = !pos lsr 3 in
-    set_byte bits i (get_byte bits i lor (rev8.(piece lsl (8 - k)) lsl off));
-    pos := !pos + k;
-    rest := !rest - k
-  done;
-  b.len <- !pos
+  if width <= 55 then put b x width
+  else begin
+    put b (x lsr 31) (width - 31);
+    put b (x land 0x7FFF_FFFF) 31
+  end
 
 let get b i =
   if i < 0 || i >= b.len then invalid_arg "Bitbuf: index out of range";

@@ -20,14 +20,21 @@
 
     {2 Cost}
 
-    {!add_bits} and {!read_bits} cut a field at byte boundaries and move
-    each piece with one masked byte operation: O(width / 8) per field,
-    at most [1 + (width + 6) / 8] pieces, with one capacity check per
-    field. No [Stdlib] function is called per field, which matters
-    because dune's dev profile compiles with [-opaque] and every such
-    call would be a real call. {!add_bit}, {!read_bit} and {!get} touch
-    one byte. {!append}, {!concat}, {!to_bool_array}, {!of_bool_array}
-    and {!pp} go a bit at a time. *)
+    {!add_bits} writes a field of up to 55 bits with one bounds-checked
+    64-bit read-modify-write: its bits, reversed into stream order a
+    byte at a time through a 256-entry table, are shifted to the stream
+    offset and ORed into the little-endian word that starts at byte
+    [length / 8]. A wider field goes as two such writes. The capacity
+    keeps 8 bytes of slack past the last byte in use, so that word is
+    always inside the buffer, and each field costs one capacity check.
+    {!read_bits} cuts a field at byte boundaries and moves each piece
+    with one shift out of a byte: at most [1 + (width + 6) / 8] pieces.
+    Neither allocates or calls a [Stdlib] function per field, which
+    matters because dune's dev profile compiles with [-opaque] and
+    every such call would be a real call. None of this is the layout
+    above, which has not changed with the writer. {!add_bit},
+    {!read_bit} and {!get} touch one byte. {!append}, {!concat},
+    {!to_bool_array}, {!of_bool_array} and {!pp} go a bit at a time. *)
 
 type t
 

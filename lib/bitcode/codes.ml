@@ -32,11 +32,17 @@ let unary_length x =
   if x < 0 then invalid_arg "Codes.unary_length: negative";
   x + 1
 
+(* [w] ones, a zero, then the [w] bits of [x] below its leading one;
+   up to 62 bits that is one field. *)
 let write_gamma b x =
   if x < 1 then invalid_arg "Codes.write_gamma: need x >= 1";
   let w = bits_needed x - 1 in
-  write_unary b w;
-  Bitbuf.add_bits b (x - (1 lsl w)) ~width:w
+  if w <= 30 then
+    Bitbuf.add_bits b ((((1 lsl w) - 1) lsl (w + 1)) lor (x - (1 lsl w))) ~width:((2 * w) + 1)
+  else begin
+    write_unary b w;
+    Bitbuf.add_bits b (x - (1 lsl w)) ~width:w
+  end
 
 let read_gamma r =
   let w = read_unary r in

@@ -3,11 +3,17 @@ open Umrs_bitcode
 
 type up = Graph.t -> dist:int array -> parent:int array -> Graph.vertex -> Graph.port
 
+(* Every table is a flat int array. The children of [x] are the CSR
+   entries [off.(x) .. off.(x+1) - 1], in port order: the port to the
+   child and the last DFS number in its subtree. The children's
+   subtrees tile [(dfs x, last x]], so a child's first number is one
+   past its elder sibling's last, and the eldest's is [dfs x + 1]. *)
 type tree = {
-  dfs : int array;                          (* DFS number per vertex *)
-  children : (int * int * int) array array; (* (port, dfs lo, dfs hi) per
-                                               child, in port order *)
-  up : int array;                           (* port toward the root, 0 there *)
+  dfs : int array;       (* DFS number per vertex *)
+  up : int array;        (* port toward the root, 0 there *)
+  off : int array;       (* n + 1 offsets into the child entries *)
+  kid_port : int array;  (* per child entry: the port to it *)
+  kid_last : int array;  (* per child entry: last DFS number below it *)
 }
 
 type t = {
@@ -15,40 +21,69 @@ type t = {
   landmark : int array;
   dist_to_a : int array;
   home : int array;
-  cluster : (int * int) array array;  (* cluster.(x) = (dst, port), by dst *)
-  trees : tree array;                 (* one per landmark *)
+  (* x's cluster table is the CSR entries [coff.(x) .. coff.(x+1) - 1]:
+     destinations ascending, each with its port *)
+  coff : int array;
+  cdst : int array;
+  cport : int array;
+  trees : tree array;      (* one per landmark *)
 }
 
-(* BFS tree of [root], DFS numbered with children in port order: a
-   vertex y on port k of x is a child of x iff parent.(y) = x. *)
-let tree g ~up ~dist ~parent root =
+(* The BFS tree of [root] that [ws]'s last search (with parents) left,
+   DFS numbered with children in port order: a vertex y on port k of x
+   is a child of x iff parent.(y) = x. A vertex's children are queued
+   while it is expanded, in port order, so the visit order gives the
+   subtree sizes bottom-up and the preorder top-down. [size] and
+   [next] are scratch of at least [n] ints. *)
+let tree g ~up ws ~size ~next root =
   let n = Graph.order g in
-  let dfs = Array.make n 0 and last = Array.make n 0 in
-  let counter = ref 0 in
-  let rec visit x =
-    dfs.(x) <- !counter;
-    incr counter;
+  let order = Bfs.visit_order ws and dist = Bfs.dist_array ws
+  and parent = Bfs.parent_array ws in
+  Array.fill size 0 n 1;
+  for k = n - 1 downto 1 do
+    let y = order.(k) in
+    size.(parent.(y)) <- size.(parent.(y)) + size.(y)
+  done;
+  (* each child takes the next free number of its parent *)
+  let dfs = Array.make n 0 in
+  next.(root) <- 1;
+  for k = 1 to n - 1 do
+    let y = order.(k) in
+    let p = parent.(y) in
+    dfs.(y) <- next.(p);
+    next.(p) <- dfs.(y) + size.(y);
+    next.(y) <- dfs.(y) + 1
+  done;
+  let off = Array.make (n + 1) 0 in
+  let kid_port = Array.make (n - 1) 0 and kid_last = Array.make (n - 1) 0 in
+  let c = ref 0 in
+  for x = 0 to n - 1 do
+    off.(x) <- !c;
     let row = Graph.neighbors g x in
     for k = 0 to Array.length row - 1 do
-      if parent.(row.(k)) = x then visit row.(k)
-    done;
-    last.(x) <- !counter - 1
-  in
-  visit root;
-  let children =
-    Array.init n (fun x ->
-        let row = Graph.neighbors g x in
-        let rec kids k acc =
-          if k = 0 then Array.of_list acc
-          else begin
-            let y = row.(k - 1) in
-            kids (k - 1) (if parent.(y) = x then (k, dfs.(y), last.(y)) :: acc else acc)
-          end
-        in
-        kids (Array.length row) [])
-  in
+      let y = row.(k) in
+      if parent.(y) = x then begin
+        kid_port.(!c) <- k + 1;
+        kid_last.(!c) <- dfs.(y) + size.(y) - 1;
+        incr c
+      end
+    done
+  done;
+  off.(n) <- !c;
   let up = Array.init n (fun v -> if v = root then 0 else up g ~dist ~parent v) in
-  { dfs; children; up }
+  { dfs; up; off; kid_port; kid_last }
+
+(* An int array that doubles as it fills. *)
+type ints = { mutable a : int array; mutable len : int }
+
+let push b x =
+  if b.len = Array.length b.a then begin
+    let a = Array.make ((2 * b.len) + 64) 0 in
+    Array.blit b.a 0 a 0 b.len;
+    b.a <- a
+  end;
+  b.a.(b.len) <- x;
+  b.len <- b.len + 1
 
 let prepare g ~landmarks ~up =
   let n = Graph.order g in
@@ -56,47 +91,61 @@ let prepare g ~landmarks ~up =
   (* one workspace for every search: the landmark trees, then the
      balls *)
   let ws = Bfs.workspace () in
+  let size = Array.make n 0 and next = Array.make n 0 in
   (* landmarks in index order, so a strict < keeps the smaller index
      on ties *)
   let trees =
     Array.init (Array.length landmarks) (fun i ->
         let root = landmarks.(i) in
         Bfs.search ~parents:true ws g root;
-        let dist = Bfs.dist_array ws and parent = Bfs.parent_array ws in
+        let dist = Bfs.dist_array ws in
         for v = 0 to n - 1 do
           if dist.(v) < dist_to_a.(v) then begin
             dist_to_a.(v) <- dist.(v);
             home.(v) <- i
           end
         done;
-        tree g ~up ~dist ~parent root)
+        tree g ~up ws ~size ~next root)
   in
-  (* x <> v stores v iff d(x,v) < d(v,A): x lies in v's ball. Taking
-     destinations in decreasing order leaves each list sorted. *)
-  let lists = Array.make n [] in
-  for v = n - 1 downto 0 do
+  (* x <> v stores v iff d(x,v) < d(v,A): x lies in v's ball. The balls
+     are walked in increasing v, one entry per member x (x, and x's
+     port toward v), v's entries from first.(v); a stable counting sort
+     by x then leaves each table sorted by destination. *)
+  let at = { a = [||]; len = 0 } and ports = { a = [||]; len = 0 } in
+  let first = Array.make (n + 1) 0 and coff = Array.make (n + 1) 0 in
+  for v = 0 to n - 1 do
+    first.(v) <- at.len;
     if dist_to_a.(v) > 0 then begin
       Bfs.search ~radius:dist_to_a.(v) ws g v;
       let ball = Bfs.visit_order ws and dist = Bfs.dist_array ws in
       for j = 1 to Bfs.reached ws - 1 do
         let x = ball.(j) in
-        lists.(x) <- (v, Bfs.port_toward g dist x) :: lists.(x)
+        push at x;
+        push ports (Bfs.port_toward g dist x);
+        coff.(x + 1) <- coff.(x + 1) + 1
       done
     end
   done;
-  {
-    graph = g;
-    landmark = landmarks;
-    dist_to_a;
-    home;
-    cluster = Array.map Array.of_list lists;
-    trees;
-  }
+  first.(n) <- at.len;
+  for x = 0 to n - 1 do
+    coff.(x + 1) <- coff.(x + 1) + coff.(x)
+  done;
+  let fill = Array.sub coff 0 n in
+  let cdst = Array.make at.len 0 and cport = Array.make at.len 0 in
+  for v = 0 to n - 1 do
+    for e = first.(v) to first.(v + 1) - 1 do
+      let x = at.a.(e) in
+      cdst.(fill.(x)) <- v;
+      cport.(fill.(x)) <- ports.a.(e);
+      fill.(x) <- fill.(x) + 1
+    done
+  done;
+  { graph = g; landmark = landmarks; dist_to_a; home; coff; cdst; cport; trees }
 
 let landmarks d = Array.copy d.landmark
 let home d v = d.home.(v)
 let dist_to_landmarks d v = d.dist_to_a.(v)
-let cluster_members d x = Array.map fst d.cluster.(x)
+let cluster_members d x = Array.sub d.cdst d.coff.(x) (d.coff.(x + 1) - d.coff.(x))
 
 let bunch d v =
   let radius = d.dist_to_a.(v) in
@@ -110,27 +159,24 @@ let bunch d v =
   end
 
 let cluster_lookup d x dst =
-  let a = d.cluster.(x) in
   let rec bin lo hi =
     if lo > hi then None
     else begin
       let mid = (lo + hi) / 2 in
-      let w, p = a.(mid) in
-      if w = dst then Some p else if w < dst then bin (mid + 1) hi else bin lo (mid - 1)
+      let w = d.cdst.(mid) in
+      if w = dst then Some d.cport.(mid) else if w < dst then bin (mid + 1) hi else bin lo (mid - 1)
     end
   in
-  bin 0 (Array.length a - 1)
+  bin d.coff.(x) (d.coff.(x + 1) - 1)
 
+(* The child whose subtree holds [dfs]: the first, in port order, whose
+   last number reaches it, if [dfs] lies in (dfs x, last x] at all. *)
 let child_port t x ~dfs =
-  let row = t.children.(x) in
+  let stop = t.off.(x + 1) in
   let rec scan i =
-    if i >= Array.length row then None
-    else begin
-      let p, lo, hi = row.(i) in
-      if lo <= dfs && dfs <= hi then Some p else scan (i + 1)
-    end
+    if i >= stop then None else if dfs <= t.kid_last.(i) then Some t.kid_port.(i) else scan (i + 1)
   in
-  scan 0
+  if dfs <= t.dfs.(x) then None else scan t.off.(x)
 
 let routing_function d =
   let init _u v =
@@ -162,22 +208,21 @@ let encode_vertex d v =
   Codes.write_fixed buf v ~width:vwidth;
   Codes.write_gamma buf (Array.length d.trees + 1);
   Array.iter (fun t -> Codes.write_fixed buf t.up.(v) ~width:(pwidth + 1)) d.trees;
-  Codes.write_gamma buf (Array.length d.cluster.(v) + 1);
-  Array.iter
-    (fun (w, p) ->
-      Codes.write_fixed buf w ~width:vwidth;
-      Codes.write_fixed buf (p - 1) ~width:pwidth)
-    d.cluster.(v);
+  Codes.write_gamma buf (d.coff.(v + 1) - d.coff.(v) + 1);
+  for i = d.coff.(v) to d.coff.(v + 1) - 1 do
+    Codes.write_fixed buf d.cdst.(i) ~width:vwidth;
+    Codes.write_fixed buf (d.cport.(i) - 1) ~width:pwidth
+  done;
   Array.iter
     (fun t ->
-      let row = t.children.(v) in
-      Codes.write_gamma buf (Array.length row + 1);
-      Array.iter
-        (fun (p, lo, hi) ->
-          Codes.write_fixed buf (p - 1) ~width:pwidth;
-          Codes.write_fixed buf lo ~width:vwidth;
-          Codes.write_fixed buf hi ~width:vwidth)
-        row)
+      Codes.write_gamma buf (t.off.(v + 1) - t.off.(v) + 1);
+      let lo = ref (t.dfs.(v) + 1) in
+      for i = t.off.(v) to t.off.(v + 1) - 1 do
+        Codes.write_fixed buf (t.kid_port.(i) - 1) ~width:pwidth;
+        Codes.write_fixed buf !lo ~width:vwidth;
+        Codes.write_fixed buf t.kid_last.(i) ~width:vwidth;
+        lo := t.kid_last.(i) + 1
+      done)
     d.trees;
   buf
 

@@ -18,7 +18,25 @@
       its workspace in [O(|ball|)], so the tables cost
       [O(Σ|C| + |A|·m)] to build rather than [Θ(n²)];
     - in each landmark tree every vertex stores, per child arc in port
-      order, the DFS interval [lo, hi] of the child's subtree.
+      order, the DFS interval [lo, hi] of the child's subtree. The DFS
+      numbers come from the BFS visit order (subtree sizes bottom-up,
+      then the preorder top-down), since a vertex's children are
+      queued in port order while it is expanded.
+
+    In memory every table is a flat int array; no vertex has a block
+    of its own. A tree holds its DFS numbers and up ports indexed by
+    vertex, and its children as one CSR: [n + 1] offsets, then per
+    child its port and the last DFS number of its subtree. The
+    children's subtrees tile [(dfs x, last x]], so [lo] is never
+    stored: the eldest child's is [dfs x + 1], each next one the
+    previous [hi + 1]. That is [5n - 1] int words per tree. The
+    cluster tables are one CSR over all vertices (offsets, then
+    destinations ascending within each vertex, and their ports), found
+    by walking the balls in increasing destination order and
+    counting-sorting the entries stably by vertex. The router
+    binary-searches a cluster slice, then scans a slice of last
+    numbers. This layout is not the bit layout of {!encode_vertex},
+    which writes every [(port, lo, hi)].
 
     Routing [u -> v], header [(v, index of p(v), DFS number of v in
     p(v)'s tree)], at each vertex [x]: deliver if [x = v]; else take
@@ -62,7 +80,8 @@ val bunch : t -> Graph.vertex -> int array
     [w ∈ B(v) ⇔ v ∈ C(w)] against {!cluster_members}. *)
 
 val cluster_members : t -> Graph.vertex -> int array
-(** Destinations in [x]'s stored cluster table, sorted. *)
+(** Destinations in [x]'s stored cluster table, sorted (a copy of its
+    slice). *)
 
 val routing_function : t -> Routing_function.t
 

@@ -34,31 +34,40 @@ type trace = { path : Graph.vertex list; headers : header list; hops : int }
 
 exception Routing_loop of Graph.vertex * Graph.vertex
 
-let route ?max_hops rf src dst =
+(* The hop loop every walk shares: [f] is folded over each vertex
+   reached and the header it arrives with, the source and [init src
+   dst] first. Returns the hop count and the fold. *)
+let walk ?max_hops rf src dst f acc =
   if src = dst then invalid_arg "Routing_function.route: src = dst";
   let budget =
     match max_hops with
     | Some b -> b
     | None -> (4 * Graph.order rf.graph) + 16
   in
-  let rec go cur h hops rpath rheaders =
+  let rec go cur h hops acc =
     match rf.port cur h with
     | None ->
       if cur <> dst then
         invalid_arg
           (Printf.sprintf
              "Routing_function.route: delivered at %d instead of %d" cur dst);
-      { path = List.rev rpath; headers = List.rev rheaders; hops }
+      (hops, acc)
     | Some k ->
       if hops >= budget then raise (Routing_loop (src, dst));
       let next = Graph.neighbor rf.graph cur ~port:k in
       let h' = rf.next_header cur h in
-      go next h' (hops + 1) (next :: rpath) (h' :: rheaders)
+      go next h' (hops + 1) (f acc next h')
   in
   let h0 = rf.init src dst in
-  go src h0 0 [ src ] [ h0 ]
+  go src h0 0 (f acc src h0)
 
-let route_length ?max_hops rf src dst = (route ?max_hops rf src dst).hops
+let route ?max_hops rf src dst =
+  let hops, (rpath, rheaders) =
+    walk ?max_hops rf src dst (fun (rpath, rheaders) v h -> (v :: rpath, h :: rheaders)) ([], [])
+  in
+  { path = List.rev rpath; headers = List.rev rheaders; hops }
+
+let route_length ?max_hops rf src dst = fst (walk ?max_hops rf src dst (fun () _ _ -> ()) ())
 
 let delivers_all rf =
   let n = Graph.order rf.graph in

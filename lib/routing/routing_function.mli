@@ -54,7 +54,8 @@ val route : ?max_hops:int -> t -> Graph.vertex -> Graph.vertex -> trace
     [Invalid_argument] if the function delivers at a wrong vertex. *)
 
 val route_length : ?max_hops:int -> t -> Graph.vertex -> Graph.vertex -> int
-(** Hop count of [route]. *)
+(** Hop count of [route], with the same budget and errors, walked
+    without building the path and header lists. *)
 
 val delivers_all : t -> bool
 (** All ordered pairs are delivered without looping. *)

@@ -10,6 +10,13 @@ let check_int name expected got = Alcotest.(check int) name expected got
 
 let case name f = Alcotest.test_case name `Quick f
 
+(* A graph file of examples/: the suite runs from _build/default/test
+   under dune runtest and from the repository root under dune exec. *)
+let fixture name =
+  Graph_io.load
+    ~path:(List.find Sys.file_exists
+             [ Filename.concat "../examples" name; Filename.concat "examples" name ])
+
 let prop ?(count = 100) name gen f =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen f)
 

@@ -412,6 +412,96 @@ let test_bitbuf_checks () =
   check_true "unary past end"
     (raises (fun () -> Codes.read_unary (Bitbuf.reader ones)))
 
+(* ---------- the one-word field writer ---------- *)
+
+(* A field of [width] bits after [start] bits of a fixed pattern, then
+   one more bit, written by Bitbuf on [b] and by the oracle on [o]. *)
+let field_after b o ~start x ~width =
+  let bit i = i mod 3 = 0 in
+  for i = 0 to start - 1 do
+    Oracle.add_bit o (bit i)
+  done;
+  let pos = ref 0 in
+  while !pos < start do
+    let w = min 62 (start - !pos) in
+    Bitbuf.add_bits b (Oracle.read_bits o (o.Oracle.len - start + !pos) ~width:w) ~width:w;
+    pos := !pos + w
+  done;
+  Bitbuf.add_bits b x ~width;
+  Oracle.add_bits o x ~width;
+  Bitbuf.add_bit b true;
+  Oracle.add_bit o true
+
+(* Every width at every start from 0 to 520 bits, so a field starts at
+   every offset mod 8 and ends at every capacity a fresh buffer grows
+   through in its first few doublings, whatever the growth rule. *)
+let test_word_writer_fresh () =
+  for width = 0 to 62 do
+    let mask = (1 lsl width) - 1 in
+    List.iter
+      (fun x ->
+        for start = 0 to 520 do
+          let b = Bitbuf.create () and o = Oracle.create () in
+          field_after b o ~start x ~width;
+          if not (Bytes.equal (Bitbuf.to_bytes b) (Oracle.to_bytes o)) then
+            Alcotest.failf "width %d value %d after %d bits: bytes differ" width x start
+        done)
+      [ mask; 0x2D5B_3C97_A6E1_0F48 land mask ]
+  done
+
+(* The same from buffers made by [of_bytes]: no slack past the image,
+   garbage in the padding of the last byte and in the bytes past it. *)
+let test_word_writer_of_bytes () =
+  let st = rng () in
+  for len = 0 to 80 do
+    let bytes = Bytes.init (((len + 7) / 8) + Random.State.int st 3) (fun _ -> Char.chr (Random.State.int st 256)) in
+    for width = 0 to 62 do
+      let x = random_bits st width in
+      let b = Bitbuf.of_bytes bytes ~len and o = Oracle.of_bytes bytes ~len in
+      field_after b o ~start:(Random.State.int st 3) x ~width;
+      if not (Bytes.equal (Bitbuf.to_bytes b) (Oracle.to_bytes o)) then
+        Alcotest.failf "of_bytes len %d, width %d value %d: bytes differ" len width x
+    done
+  done
+
+(* One-field gamma and delta against their definitions written a bit at
+   a time: gamma is [w] ones, a zero and the [w] bits of [x] below its
+   leading one; delta is the gamma of [w + 1] and those [w] bits. At
+   every power-of-two boundary up to 2^40, after every offset mod 8. *)
+let test_one_field_codes () =
+  let gamma o x =
+    let w = Codes.bits_needed x - 1 in
+    for _ = 1 to w do Oracle.add_bit o true done;
+    Oracle.add_bit o false;
+    Oracle.add_bits o (x - (1 lsl w)) ~width:w
+  in
+  let delta o x =
+    let w = Codes.bits_needed x - 1 in
+    gamma o (w + 1);
+    Oracle.add_bits o (x - (1 lsl w)) ~width:w
+  in
+  for k = 0 to 40 do
+    List.iter
+      (fun x ->
+        List.iter
+          (fun (code, write, pieces, read) ->
+            for off = 0 to 7 do
+              let b = Bitbuf.create () and o = Oracle.create () in
+              for _ = 1 to off do Bitbuf.add_bit b true; Oracle.add_bit o true done;
+              write b x;
+              pieces o x;
+              let what = Printf.sprintf "%s %d at offset %d" code x off in
+              check_true (what ^ ": bytes") (Bytes.equal (Bitbuf.to_bytes b) (Oracle.to_bytes o));
+              check_int (what ^ ": length") o.Oracle.len (Bitbuf.length b);
+              let r = Bitbuf.reader b in
+              Bitbuf.seek r off;
+              check_int (what ^ ": read back") x (read r)
+            done)
+          [ ("gamma", Codes.write_gamma, gamma, Codes.read_gamma);
+            ("delta", Codes.write_delta, delta, Codes.read_delta) ])
+      (List.filter (fun x -> x >= 1) [ (1 lsl k) - 1; 1 lsl k; (1 lsl k) + 1 ])
+  done
+
 let suite =
   [
     case "bitbuf basics" test_bitbuf_basics;
@@ -471,4 +561,7 @@ let suite =
         Rank.write_combination b ~n c;
         Bitbuf.length b = Rank.combination_length ~n ~k:(Array.length c)
         && Rank.read_combination (Bitbuf.reader b) ~n ~k:(Array.length c) = c);
+    case "word writer = oracle: every width and start" test_word_writer_fresh;
+    case "word writer = oracle: of_bytes buffers" test_word_writer_of_bytes;
+    case "one-field gamma and delta = unary then fixed" test_one_field_codes;
   ]

@@ -185,8 +185,7 @@ let test_chung_lu_connected () =
 let test_fixture_round_trip () =
   List.iter
     (fun name ->
-      let path = Filename.concat "../examples" name in
-      let g = Graph_io.load ~path in
+      let g = fixture name in
       check_true (name ^ " connected") (Graph.is_connected g);
       check_true (name ^ " non-trivial") (Graph.order g >= 32);
       let s = Graph_io.to_string g in

@@ -337,13 +337,6 @@ let test_sampled_pinned_grid () =
    separate implementations that preceded Landmark_core; a change to a
    single stored bit, port or route fails here. *)
 let golden_graphs () =
-  (* the suite runs from _build/default/test under dune runtest and
-     from the repository root under dune exec *)
-  let fixture name =
-    Graph_io.load
-      ~path:(List.find Sys.file_exists
-               [ Filename.concat "../examples" name; Filename.concat "examples" name ])
-  in
   let ba n m = Generators.barabasi_albert (Random.State.make [| n; m |]) ~n ~m in
   [ fixture "as_ba64.graph"; fixture "as_ba48_dense.graph";
     fixture "as_powerlaw72.graph";
@@ -449,6 +442,188 @@ let core_holds (g, landmarks) =
            vs)
     up_rules
 
+(* ---------- the flat layout against the per-vertex rows ---------- *)
+
+(* The oracle for Landmark_core's flat arrays: the same tables built
+   the direct way, as a heap row per vertex. Per landmark,
+   Bfs.distances_with_parents, a recursive DFS numbering and per vertex
+   a (port, lo, hi) array of its children; per vertex a (destination,
+   port) array of its cluster table, from one full BFS per destination.
+   Its encoder and router read those rows. *)
+module Rows = struct
+  type tree = {
+    dfs : int array;
+    children : (int * int * int) array array;
+    up : int array;
+  }
+
+  type t = {
+    graph : Graph.t;
+    home : int array;
+    cluster : (int * int) array array;
+    trees : tree array;
+  }
+
+  let tree g ~(up : Landmark_core.up) root =
+    let n = Graph.order g in
+    let dist, parent = Bfs.distances_with_parents g root in
+    let dfs = Array.make n 0 and last = Array.make n 0 in
+    let counter = ref 0 in
+    let rec visit x =
+      dfs.(x) <- !counter;
+      incr counter;
+      Array.iter (fun y -> if parent.(y) = x then visit y) (Graph.neighbors g x);
+      last.(x) <- !counter - 1
+    in
+    visit root;
+    let children =
+      Array.init n (fun x ->
+          let row = Graph.neighbors g x in
+          Array.of_list
+            (List.filter_map
+               (fun k ->
+                 let y = row.(k) in
+                 if parent.(y) = x then Some (k + 1, dfs.(y), last.(y)) else None)
+               (List.init (Array.length row) Fun.id)))
+    in
+    let up = Array.init n (fun v -> if v = root then 0 else up g ~dist ~parent v) in
+    (dist, { dfs; children; up })
+
+  let prepare g ~landmarks ~up =
+    let n = Graph.order g in
+    let dist_to_a = Array.make n max_int and home = Array.make n 0 in
+    let trees =
+      Array.mapi
+        (fun i root ->
+          let dist, t = tree g ~up root in
+          for v = 0 to n - 1 do
+            if dist.(v) < dist_to_a.(v) then begin
+              dist_to_a.(v) <- dist.(v);
+              home.(v) <- i
+            end
+          done;
+          t)
+        landmarks
+    in
+    let lists = Array.make n [] in
+    for v = n - 1 downto 0 do
+      let dist = Bfs.distances g v in
+      for x = 0 to n - 1 do
+        if dist.(x) > 0 && dist.(x) < dist_to_a.(v) then
+          lists.(x) <- (v, Bfs.port_toward g dist x) :: lists.(x)
+      done
+    done;
+    { graph = g; home; cluster = Array.map Array.of_list lists; trees }
+
+  let encode_vertex d v =
+    let open Umrs_bitcode in
+    let n = Graph.order d.graph in
+    let pwidth = Codes.ceil_log2 (max 2 (Graph.degree d.graph v)) in
+    let vwidth = Codes.ceil_log2 (max 2 n) in
+    let buf = Bitbuf.create () in
+    Codes.write_delta buf n;
+    Codes.write_fixed buf v ~width:vwidth;
+    Codes.write_gamma buf (Array.length d.trees + 1);
+    Array.iter (fun t -> Codes.write_fixed buf t.up.(v) ~width:(pwidth + 1)) d.trees;
+    Codes.write_gamma buf (Array.length d.cluster.(v) + 1);
+    Array.iter
+      (fun (w, p) ->
+        Codes.write_fixed buf w ~width:vwidth;
+        Codes.write_fixed buf (p - 1) ~width:pwidth)
+      d.cluster.(v);
+    Array.iter
+      (fun t ->
+        Codes.write_gamma buf (Array.length t.children.(v) + 1);
+        Array.iter
+          (fun (p, lo, hi) ->
+            Codes.write_fixed buf (p - 1) ~width:pwidth;
+            Codes.write_fixed buf lo ~width:vwidth;
+            Codes.write_fixed buf hi ~width:vwidth)
+          t.children.(v))
+      d.trees;
+    buf
+
+  let routing_function d =
+    let init _u v =
+      let li = d.home.(v) in
+      Routing_function.Packed [| v; li; d.trees.(li).dfs.(v) |]
+    in
+    let port x h =
+      match h with
+      | Routing_function.Packed [| v; li; dfs |] ->
+        if x = v then None
+        else begin
+          match List.assoc_opt v (Array.to_list d.cluster.(x)) with
+          | Some p -> Some p
+          | None -> (
+            let t = d.trees.(li) in
+            match
+              List.find_opt (fun (_, lo, hi) -> lo <= dfs && dfs <= hi)
+                (Array.to_list t.children.(x))
+            with
+            | Some (p, _, _) -> Some p
+            | None -> Some t.up.(x))
+        end
+      | _ -> invalid_arg "Rows: malformed header"
+    in
+    { Routing_function.graph = d.graph; init; port; next_header = (fun _ h -> h) }
+end
+
+(* Deep and wide shapes beside random graphs: paths, stars, grids,
+   trees and BA graphs up to 48 vertices, half of them with every port
+   order shuffled, each with a random landmark set. *)
+let layout_case =
+  let graphs = Gen.connected_graph ~max_n:31 () in
+  let print (g, a) =
+    Gen.print_graph g ^ "\nlandmarks: "
+    ^ String.concat " " (Array.to_list (Array.map string_of_int a))
+  in
+  Gen.make ~print (fun st ->
+      let n = 2 + Random.State.int st 47 in
+      let g =
+        match Random.State.int st 6 with
+        | 0 -> graphs.Gen.gen st
+        | 1 -> Generators.path n
+        | 2 -> Generators.star n
+        | 3 -> Generators.grid (1 + Random.State.int st 7) (2 + Random.State.int st 6)
+        | 4 -> Generators.random_tree st n
+        | _ -> Generators.barabasi_albert st ~n:(max n 4) ~m:(1 + Random.State.int st 3)
+      in
+      let g =
+        if Random.State.bool st then g
+        else
+          Graph.relabel_ports g
+            (Array.init (Graph.order g) (fun v -> Perm.random st (Graph.degree g v)))
+      in
+      let n = Graph.order g in
+      let rate = Random.State.float st 1.0 in
+      match List.filter (fun _ -> Random.State.float st 1.0 < rate) (List.init n Fun.id) with
+      | [] -> (g, [| Random.State.int st n |])
+      | a -> (g, Array.of_list a))
+
+(* Under both up rules, the flat layout and the rows give the same bits
+   at every router, the same cluster tables and the same path for every
+   ordered pair. *)
+let layout_matches_rows (g, landmarks) =
+  let n = Graph.order g in
+  let image bits = (Umrs_bitcode.Bitbuf.length bits, Umrs_bitcode.Bitbuf.to_bytes bits) in
+  List.for_all
+    (fun up ->
+      let d = Landmark_core.prepare g ~landmarks ~up and o = Rows.prepare g ~landmarks ~up in
+      let rf = Landmark_core.routing_function d and rf' = Rows.routing_function o in
+      List.for_all
+        (fun v ->
+          image (Landmark_core.encode_vertex d v) = image (Rows.encode_vertex o v)
+          && Landmark_core.cluster_members d v = Array.map fst o.Rows.cluster.(v)
+          && List.for_all
+               (fun u ->
+                 u = v
+                 || (Routing_function.route rf u v).Routing_function.path
+                    = (Routing_function.route rf' u v).Routing_function.path)
+               (List.init n Fun.id))
+        (List.init n Fun.id))
+    up_rules
+
 let suite =
   [
     case "delivers on petersen" test_delivers_petersen;
@@ -473,4 +648,6 @@ let suite =
           ~den:1);
     case "sampled summaries pinned: BA, Chung-Lu" test_sampled_pinned_internet;
     case "sampled summaries pinned: grid 40x40" test_sampled_pinned_grid;
+    Gen.prop ~count:300 "flat layout = per-vertex rows: bits, tables, routes"
+      layout_case layout_matches_rows;
   ]
