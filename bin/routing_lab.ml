@@ -357,8 +357,11 @@ let simulate_cmd =
     with_telemetry telemetry @@ fun () ->
     if not (loss >= 0.0 && loss <= 1.0) then
       usage_error "simulate: --loss %g: must be in [0, 1]" loss;
+    if pairs < 0 then usage_error "simulate: --pairs %d: must be >= 0" pairs;
     let g = graph_of_family ~seed family size in
     let n = Graph.order g in
+    if pairs > 0 && n < 2 then
+      usage_error "simulate: --pairs %d: %s has one vertex, no pair to draw" pairs family;
     let dead_links =
       List.map
         (fun s ->
@@ -732,9 +735,24 @@ let lemma1_cmd =
 
 let theorem1_cmd =
   let run ns epss =
+    (* a value Lower_bound.choose_params refuses is a caller mistake; a
+       valid (n, eps) whose construction does not fit is a result *)
+    List.iter (fun n -> if n < 16 then usage_error "theorem1: --ns %d: need n >= 16" n) ns;
     List.iter
-      (fun b -> pf "%a@." Lower_bound.pp_bound b)
-      (Lower_bound.sweep ~ns ~epss)
+      (fun eps ->
+        if not (eps > 0.0 && eps < 1.0) then
+          usage_error "theorem1: --eps %g: need 0 < eps < 1" eps)
+      epss;
+    List.iter
+      (fun n ->
+        List.iter
+          (fun eps ->
+            match Lower_bound.theorem1 ~n ~eps with
+            | b -> pf "%a@." Lower_bound.pp_bound b
+            | exception Invalid_argument _ ->
+              pf "n=%-8d eps=%.2f the construction does not fit in n vertices@." n eps)
+          epss)
+      ns
   in
   let ns =
     Arg.(value & opt (list int) [ 1024; 16384; 262144 ]
@@ -841,7 +859,7 @@ let deadlock_cmd =
 let save_cmd =
   let run family size seed path =
     let g = graph_of_family ~seed family size in
-    Graph_io.save g ~path;
+    (try Graph_io.save g ~path with Sys_error msg -> failure "save: cannot write: %s" msg);
     pf "saved %s (n=%d, m=%d, ports preserved) to %s@." family
       (Umrs_graph.Graph.order g)
       (Umrs_graph.Graph.size g)

@@ -8,7 +8,7 @@ type params = {
 }
 
 let choose_params ~n ~eps =
-  if eps <= 0.0 || eps >= 1.0 then
+  if not (eps > 0.0 && eps < 1.0) then
     invalid_arg "Lower_bound.choose_params: need 0 < eps < 1";
   if n < 16 then invalid_arg "Lower_bound.choose_params: n too small";
   let p = max 2 (int_of_float (Float.pow (float_of_int n) eps)) in

@@ -19,8 +19,9 @@ type params = {
 
 val choose_params : n:int -> eps:float -> params
 (** [p = max 2 floor(n^eps)], [q = floor(n/2)],
-    [d = max 2 floor((n - p - q) / p)]. Raises [Invalid_argument] when
-    [n] is too small to fit the construction ([order_unpadded > n]). *)
+    [d = max 2 floor((n - p - q) / p)]. Raises [Invalid_argument]
+    unless [0 < eps < 1] and [n >= 16], and when the construction does
+    not fit in [n] vertices ([order_unpadded > n]). *)
 
 type bound = {
   params : params;

@@ -38,7 +38,11 @@ val check :
   bound:stretch_bound ->
   (unit, violation list) result
 (** All [(i,j)] pairs; [Ok ()] when the forced-port property holds
-    everywhere. *)
+    everywhere, else every failing cell in row-major order. The graph
+    is undirected, so one BFS from each target [b_j] gives every
+    distance the cells need: [q] searches, not all pairs. A cell
+    counts its usable ports in [a_i]'s row and builds the [usable]
+    list only for a violation. Raises as {!usable_ports} does. *)
 
 val check_cgraph : Cgraph.t -> bound:stretch_bound -> (unit, violation list) result
 (** {!check} applied to a graph of constraints and its own matrix. *)

@@ -1,20 +1,21 @@
 let infinity = max_int
 
 (* One search's state, reused from search to search. Off the last
-   search's [queue.(0 .. reached-1)], [dist] is [infinity] and [parent]
-   [-1], so a reset rewrites only the vertices that search reached. The
-   arrays grow to the largest order searched; entries past a graph's
-   order are never written. *)
+   search's [queue.(0 .. reached-1)], [dist] is [infinity], [parent]
+   [-1] and [pport] 0, so a reset rewrites only the vertices that
+   search reached. The arrays grow to the largest order searched;
+   entries past a graph's order are never written. *)
 type workspace = {
   mutable dist : int array;
   mutable parent : int array; (* [||] until a search asks for parents *)
+  mutable pport : int array;  (* the port at the parent, sized with [parent] *)
   mutable queue : int array;  (* the FIFO queue, and the visit order *)
   mutable reached : int;
   mutable parented : bool;    (* the last search wrote [parent] *)
 }
 
 let workspace () =
-  { dist = [||]; parent = [||]; queue = [||]; reached = 0; parented = false }
+  { dist = [||]; parent = [||]; pport = [||]; queue = [||]; reached = 0; parented = false }
 
 (* Undo the last search's writes; the next one sets [reached] and
    [parented] afresh. *)
@@ -24,9 +25,10 @@ let reset ws =
     dist.(queue.(i)) <- infinity
   done;
   if ws.parented then begin
-    let parent = ws.parent in
+    let parent = ws.parent and pport = ws.pport in
     for i = 0 to ws.reached - 1 do
-      parent.(queue.(i)) <- -1
+      parent.(queue.(i)) <- -1;
+      pport.(queue.(i)) <- 0
     done
   end
 
@@ -36,8 +38,10 @@ let reserve ws n ~parents =
     ws.dist <- Array.make n infinity;
     ws.queue <- Array.make n 0
   end;
-  if parents && Array.length ws.parent < Array.length ws.dist then
-    ws.parent <- Array.make (Array.length ws.dist) (-1)
+  if parents && Array.length ws.parent < Array.length ws.dist then begin
+    ws.parent <- Array.make (Array.length ws.dist) (-1);
+    ws.pport <- Array.make (Array.length ws.dist) 0
+  end
 
 let search ?(parents = false) ?(radius = infinity) ws g src =
   let n = Graph.order g in
@@ -61,7 +65,12 @@ let search ?(parents = false) ?(radius = infinity) ws g src =
         let w = row.(k) in
         if dist.(w) = infinity then begin
           dist.(w) <- dv + 1;
-          if parents then parent.(w) <- v;
+          (* [pport] is read here, not bound beside [dist]: a search
+             without parents would pay for one more live variable *)
+          if parents then begin
+            parent.(w) <- v;
+            ws.pport.(w) <- k + 1
+          end;
           queue.(!tail) <- w;
           incr tail
         end
@@ -78,6 +87,10 @@ let dist_array ws = ws.dist
 let parent_array ws =
   if not ws.parented then invalid_arg "Bfs.parent_array: the last search kept no parents";
   ws.parent
+
+let parent_port_array ws =
+  if not ws.parented then invalid_arg "Bfs.parent_port_array: the last search kept no parents";
+  ws.pport
 
 (* ---------- point-to-point search ---------- *)
 

@@ -17,14 +17,15 @@ val infinity : int
 (** {1 The kernel} *)
 
 type workspace
-(** Reusable state for one search at a time: a distance array, an
-    optional parent array and the queue. Callers that run many BFSs
-    reuse one workspace; a warm search allocates nothing. Starting a
-    search first resets what the previous one wrote, which costs
-    O(vertices it reached), not O(n), so many small bounded searches
-    stay cheap on a large graph. The arrays grow to the largest order
-    searched, so one workspace serves graphs of any order. A workspace
-    is single-threaded: share nothing across domains. *)
+(** Reusable state for one search at a time: a distance array,
+    optional parent and parent-port arrays, and the queue. Callers
+    that run many BFSs reuse one workspace; a warm search allocates
+    nothing. Starting a search first resets what the previous one
+    wrote, which costs O(vertices it reached), not O(n), so many small
+    bounded searches stay cheap on a large graph. The arrays grow to
+    the largest order searched, so one workspace serves graphs of any
+    order. A workspace is single-threaded: share nothing across
+    domains. *)
 
 val workspace : unit -> workspace
 (** An empty workspace; the first search sizes it. *)
@@ -33,10 +34,11 @@ val search :
   ?parents:bool -> ?radius:int -> workspace -> Graph.t -> Graph.vertex -> unit
 (** [search ws g src] runs a BFS from [src] on [ws], replacing the
     previous search's results. With [~parents:true] it also records
-    each vertex's BFS parent. With [~radius] ([>= 1]) it reaches
-    exactly the vertices at distance [< radius], expanding none at
-    distance [radius - 1]. Raises [Invalid_argument] on a bad source or
-    radius. *)
+    each vertex's BFS parent and the port at the parent it was found
+    through ({!parent_port_array}); without, the loop writes neither
+    array. With [~radius] ([>= 1]) it reaches exactly the vertices at
+    distance [< radius], expanding none at distance [radius - 1].
+    Raises [Invalid_argument] on a bad source or radius. *)
 
 val reached : workspace -> int
 (** How many vertices the last search reached. *)
@@ -56,6 +58,15 @@ val parent_array : workspace -> int array
 (** The last search's BFS parents, [-1] at the source and at every
     vertex it did not reach. Shared like {!dist_array}. Raises
     [Invalid_argument] unless that search ran with [~parents:true]. *)
+
+val parent_port_array : workspace -> int array
+(** The last search's parent ports: at every vertex [y] it reached
+    other than the source, the port at [parent.(y)] through which the
+    search found [y], so [Graph.neighbor g parent.(y) ~port] is [y];
+    [0] wherever {!parent_array} reads [-1]. A vertex's children are
+    found while it is expanded, in port order, so a BFS tree's child
+    arcs come out of one search without scanning a row for them.
+    Shared like {!dist_array}; raises as {!parent_array} does. *)
 
 val distances_with : workspace -> Graph.t -> Graph.vertex -> int array
 (** [distances_with ws g src] is [distances g src] computed on [ws]: a

@@ -1,7 +1,7 @@
 open Umrs_graph
 open Umrs_bitcode
 
-type up = Graph.t -> dist:int array -> parent:int array -> Graph.vertex -> Graph.port
+type up = Parent | Smallest_closer
 
 (* Every table is a flat int array. The children of [x] are the CSR
    entries [off.(x) .. off.(x+1) - 1], in port order: the port to the
@@ -29,49 +29,72 @@ type t = {
   trees : tree array;      (* one per landmark *)
 }
 
-(* The BFS tree of [root] that [ws]'s last search (with parents) left,
-   DFS numbered with children in port order: a vertex y on port k of x
-   is a child of x iff parent.(y) = x. A vertex's children are queued
-   while it is expanded, in port order, so the visit order gives the
-   subtree sizes bottom-up and the preorder top-down. [size] and
-   [next] are scratch of at least [n] ints. *)
-let tree g ~up ws ~size ~next root =
+(* The BFS tree of [root] that [ws]'s last search (with parents)
+   left, DFS numbered with children in port order, in O(n) beside that
+   search. A vertex's children are queued while it is expanded, in port
+   order, and vertices are expanded in queue order, so walking the
+   visit order meets each vertex's children in port order: bottom-up it
+   gives the subtree sizes and the child counts, top-down it puts each
+   child into its parent's next slot with the port the search recorded.
+   A child's first DFS number is then one past its elder sibling's
+   last, or its parent's number plus one. [size] and [fill] are scratch
+   of at least [n] ints. *)
+let tree g ~up ws ~size ~fill root =
   let n = Graph.order g in
   let order = Bfs.visit_order ws and dist = Bfs.dist_array ws
-  and parent = Bfs.parent_array ws in
+  and parent = Bfs.parent_array ws and pport = Bfs.parent_port_array ws in
+  (* [off.(x + 1)] counts x's children, then the sums make it CSR *)
+  let off = Array.make (n + 1) 0 in
   Array.fill size 0 n 1;
   for k = n - 1 downto 1 do
     let y = order.(k) in
-    size.(parent.(y)) <- size.(parent.(y)) + size.(y)
+    let p = parent.(y) in
+    size.(p) <- size.(p) + size.(y);
+    off.(p + 1) <- off.(p + 1) + 1
   done;
-  (* each child takes the next free number of its parent *)
+  for x = 1 to n do
+    off.(x) <- off.(x) + off.(x - 1)
+  done;
+  Array.blit off 0 fill 0 n;
   let dfs = Array.make n 0 in
-  next.(root) <- 1;
+  let kid_port = Array.make (n - 1) 0 and kid_last = Array.make (n - 1) 0 in
   for k = 1 to n - 1 do
     let y = order.(k) in
     let p = parent.(y) in
-    dfs.(y) <- next.(p);
-    next.(p) <- dfs.(y) + size.(y);
-    next.(y) <- dfs.(y) + 1
+    let c = fill.(p) in
+    fill.(p) <- c + 1;
+    let first = if c = off.(p) then dfs.(p) + 1 else kid_last.(c - 1) + 1 in
+    dfs.(y) <- first;
+    kid_port.(c) <- pport.(y);
+    kid_last.(c) <- first + size.(y) - 1
   done;
-  let off = Array.make (n + 1) 0 in
-  let kid_port = Array.make (n - 1) 0 and kid_last = Array.make (n - 1) 0 in
-  let c = ref 0 in
-  for x = 0 to n - 1 do
-    off.(x) <- !c;
-    let row = Graph.neighbors g x in
-    for k = 0 to Array.length row - 1 do
-      let y = row.(k) in
-      if parent.(y) = x then begin
-        kid_port.(!c) <- k + 1;
-        kid_last.(!c) <- dfs.(y) + size.(y) - 1;
-        incr c
+  (* the up ports: a scan of each vertex's row for its parent, or for
+     its first neighbour one step closer *)
+  let ups = Array.make n 0 in
+  (match up with
+  | Parent ->
+    for v = 0 to n - 1 do
+      if v <> root then begin
+        let row = Graph.neighbors g v and p = parent.(v) in
+        let k = ref 0 in
+        while row.(!k) <> p do
+          incr k
+        done;
+        ups.(v) <- !k + 1
       end
     done
-  done;
-  off.(n) <- !c;
-  let up = Array.init n (fun v -> if v = root then 0 else up g ~dist ~parent v) in
-  { dfs; up; off; kid_port; kid_last }
+  | Smallest_closer ->
+    for v = 0 to n - 1 do
+      if v <> root then begin
+        let row = Graph.neighbors g v and closer = dist.(v) - 1 in
+        let k = ref 0 in
+        while dist.(row.(!k)) <> closer do
+          incr k
+        done;
+        ups.(v) <- !k + 1
+      end
+    done);
+  { dfs; up = ups; off; kid_port; kid_last }
 
 (* An int array that doubles as it fills. *)
 type ints = { mutable a : int array; mutable len : int }
@@ -91,7 +114,7 @@ let prepare g ~landmarks ~up =
   (* one workspace for every search: the landmark trees, then the
      balls *)
   let ws = Bfs.workspace () in
-  let size = Array.make n 0 and next = Array.make n 0 in
+  let size = Array.make n 0 and fill = Array.make n 0 in
   (* landmarks in index order, so a strict < keeps the smaller index
      on ties *)
   let trees =
@@ -105,7 +128,7 @@ let prepare g ~landmarks ~up =
             home.(v) <- i
           end
         done;
-        tree g ~up ws ~size ~next root)
+        tree g ~up ws ~size ~fill root)
   in
   (* x <> v stores v iff d(x,v) < d(v,A): x lies in v's ball. The balls
      are walked in increasing v, one entry per member x (x, and x's
@@ -198,32 +221,98 @@ let routing_function d =
   in
   { Routing_function.graph = d.graph; init; port; next_header = (fun _ h -> h) }
 
-let encode_vertex d v =
-  let g = d.graph in
+(* The encoder's bit writer. Consecutive fields are packed, most
+   significant bit first, into the low [used] bits of [word], and each
+   packed word of at most [word_bits] goes to [emit] in one call; a
+   field wider than that goes out on its own. A field written most
+   significant bit first continues the stream where the previous one
+   stopped, whether or not they share a word, so the stream is the one
+   that a write per field would give. 55 bits is what
+   [Bitbuf.add_bits] writes with one word access. [put] does not check
+   that [x] fits in [width] bits: every field here does by
+   construction (ports below [2^pwidth], vertices and DFS numbers
+   below [n]). *)
+type packer = { emit : int -> width:int -> unit; mutable word : int; mutable used : int }
+
+let word_bits = 55
+
+let flush p =
+  if p.used > 0 then begin
+    p.emit p.word ~width:p.used;
+    p.word <- 0;
+    p.used <- 0
+  end
+
+(* Inlined, a field costs a compare, a shift and an OR. *)
+let[@inline] put p x ~width =
+  if p.used + width > word_bits then flush p;
+  if width > word_bits then p.emit x ~width
+  else begin
+    p.word <- (p.word lsl width) lor x;
+    p.used <- p.used + width
+  end
+
+(* [Codes.bits_needed x - 1], without a call into another module per
+   code. *)
+let floor_log2 x =
+  let w = ref 0 in
+  while x lsr (!w + 1) <> 0 do
+    incr w
+  done;
+  !w
+
+(* Elias gamma of [x >= 1]: [w] ones, a zero, then the [w] bits of [x]
+   below its leading one; one field while it fits a word, else the
+   ones and zero, then the bits. *)
+let put_gamma p x =
+  let w = floor_log2 x in
+  if (2 * w) + 1 <= word_bits then
+    put p ((((1 lsl w) - 1) lsl (w + 1)) lor (x - (1 lsl w))) ~width:((2 * w) + 1)
+  else begin
+    put p (((1 lsl w) - 1) lsl 1) ~width:(w + 1);
+    put p (x - (1 lsl w)) ~width:w
+  end
+
+(* Elias delta: the gamma code of [w + 1], then the [w] bits below the
+   leading one. *)
+let put_delta p x =
+  let w = floor_log2 x in
+  put_gamma p (w + 1);
+  put p (x - (1 lsl w)) ~width:w
+
+let encode_words d v emit =
+  let g = d.graph and trees = d.trees in
   let n = Graph.order g in
   let pwidth = Codes.ceil_log2 (max 2 (Graph.degree g v)) in
   let vwidth = Codes.ceil_log2 (max 2 n) in
-  let buf = Bitbuf.create () in
-  Codes.write_delta buf n;
-  Codes.write_fixed buf v ~width:vwidth;
-  Codes.write_gamma buf (Array.length d.trees + 1);
-  Array.iter (fun t -> Codes.write_fixed buf t.up.(v) ~width:(pwidth + 1)) d.trees;
-  Codes.write_gamma buf (d.coff.(v + 1) - d.coff.(v) + 1);
-  for i = d.coff.(v) to d.coff.(v + 1) - 1 do
-    Codes.write_fixed buf d.cdst.(i) ~width:vwidth;
-    Codes.write_fixed buf (d.cport.(i) - 1) ~width:pwidth
+  let p = { emit; word = 0; used = 0 } in
+  put_delta p n;
+  put p v ~width:vwidth;
+  put_gamma p (Array.length trees + 1);
+  for i = 0 to Array.length trees - 1 do
+    put p trees.(i).up.(v) ~width:(pwidth + 1)
   done;
-  Array.iter
-    (fun t ->
-      Codes.write_gamma buf (t.off.(v + 1) - t.off.(v) + 1);
-      let lo = ref (t.dfs.(v) + 1) in
-      for i = t.off.(v) to t.off.(v + 1) - 1 do
-        Codes.write_fixed buf (t.kid_port.(i) - 1) ~width:pwidth;
-        Codes.write_fixed buf !lo ~width:vwidth;
-        Codes.write_fixed buf t.kid_last.(i) ~width:vwidth;
-        lo := t.kid_last.(i) + 1
-      done)
-    d.trees;
+  put_gamma p (d.coff.(v + 1) - d.coff.(v) + 1);
+  for i = d.coff.(v) to d.coff.(v + 1) - 1 do
+    put p d.cdst.(i) ~width:vwidth;
+    put p (d.cport.(i) - 1) ~width:pwidth
+  done;
+  for i = 0 to Array.length trees - 1 do
+    let t = trees.(i) in
+    put_gamma p (t.off.(v + 1) - t.off.(v) + 1);
+    let lo = ref (t.dfs.(v) + 1) in
+    for c = t.off.(v) to t.off.(v + 1) - 1 do
+      put p (t.kid_port.(c) - 1) ~width:pwidth;
+      put p !lo ~width:vwidth;
+      put p t.kid_last.(c) ~width:vwidth;
+      lo := t.kid_last.(c) + 1
+    done
+  done;
+  flush p
+
+let encode_vertex d v =
+  let buf = Bitbuf.create () in
+  encode_words d v (fun x ~width -> Bitbuf.add_bits buf x ~width);
   buf
 
 type decoded = {

@@ -6,9 +6,10 @@
     The two schemes differ in two places only: how the landmark set [A]
     is chosen, and which port a router stores toward each landmark (the
     {!up} rule). Everything else is here. For a landmark set [A]:
-    - one BFS per landmark [ℓ] gives [d(·, ℓ)], a BFS tree (the
-      parents of {!Umrs_graph.Bfs.distances_with_parents}) and the port
-      {!up} picks at every other vertex;
+    - one BFS per landmark [ℓ] gives [d(·, ℓ)], a BFS tree (its
+      first-discoverer parents and the ports they found their children
+      through, {!Umrs_graph.Bfs.parent_port_array}) and the port the
+      {!up} rule picks at every other vertex;
     - the home [p(v)] is the landmark nearest to [v], smallest index on
       ties, and [d(v,A) = d(v, p(v))];
     - the cluster table at [x] stores, for every destination [v] with
@@ -18,10 +19,14 @@
       its workspace in [O(|ball|)], so the tables cost
       [O(Σ|C| + |A|·m)] to build rather than [Θ(n²)];
     - in each landmark tree every vertex stores, per child arc in port
-      order, the DFS interval [lo, hi] of the child's subtree. The DFS
-      numbers come from the BFS visit order (subtree sizes bottom-up,
-      then the preorder top-down), since a vertex's children are
-      queued in port order while it is expanded.
+      order, the DFS interval [lo, hi] of the child's subtree. A
+      vertex's children are queued in port order while it is expanded,
+      and vertices are expanded in queue order, so one walk of the BFS
+      visit order bottom-up gives the subtree sizes and child counts,
+      and one top-down puts each child into its parent's next slot, in
+      port order, with its DFS interval. No adjacency row is scanned
+      for children: a tree costs its BFS plus [O(n)], and the up ports
+      one row scan per vertex.
 
     In memory every table is a flat int array; no vertex has a block
     of its own. A tree holds its DFS numbers and up ports indexed by
@@ -54,10 +59,16 @@
 
 open Umrs_graph
 
-type up = Graph.t -> dist:int array -> parent:int array -> Graph.vertex -> Graph.port
-(** [up g ~dist ~parent v]: the port [v] stores toward the landmark whose
-    BFS gave [dist] and [parent] ([-1] at the landmark). It must lead
-    one step closer to the landmark. Never called at the landmark. *)
+(** The port every vertex but the landmark stores toward it. Each rule
+    picks a port that leads one step closer to the landmark, which is
+    all the stretch argument needs; they differ where a vertex has
+    several neighbours one step closer, and so do the two schemes'
+    bits. The landmark itself stores [0]. *)
+type up =
+  | Parent  (** the port to the vertex's BFS-tree parent (tz-3) *)
+  | Smallest_closer
+      (** the smallest port to a neighbour one step closer
+          (landmark-3; {!Umrs_graph.Bfs.port_toward}) *)
 
 type t
 
@@ -89,7 +100,19 @@ val encode_vertex : t -> Graph.vertex -> Umrs_bitcode.Bitbuf.t
 (** [n] in delta code, [v] fixed-width, [|A|] in gamma, the port toward
     each landmark (fixed-width, [0] at the landmark itself), the cluster
     table as a gamma count plus [(destination, port)] pairs, and per
-    landmark tree a gamma count plus [(port, lo, hi)] per child. *)
+    landmark tree a gamma count plus [(port, lo, hi)] per child. The
+    bits are {!encode_words}' words appended in order, one
+    {!Umrs_bitcode.Bitbuf.add_bits} per word. *)
+
+val encode_words : t -> Graph.vertex -> (int -> width:int -> unit) -> unit
+(** [encode_words d v emit] passes the bits of [encode_vertex d v] to
+    [emit], a packed word per call, most significant bit first:
+    consecutive fields (gamma and delta codes included) go into one
+    word while it stays within 55 bits, the most
+    {!Umrs_bitcode.Bitbuf.add_bits} writes with one word access. A
+    gamma code wider than that is split after its zero; a field wider
+    than 55 bits goes out alone, which takes [n > 2^55]. The
+    per-field cost is a shift and an OR, not a call. *)
 
 (** {1 Decoding} *)
 

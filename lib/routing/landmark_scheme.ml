@@ -42,10 +42,6 @@ let pick_landmarks ~strategy ~seed g l =
     done;
     Array.of_list !chosen
 
-(* Cowen's rule: at each vertex, the smallest port one step closer to
-   the landmark. *)
-let up g ~dist ~parent:_ v = Bfs.port_toward g dist v
-
 let prepare ?(seed = 0xC0C0A) ?landmarks ?(strategy = Random_landmarks) g =
   let n = Graph.order g in
   if n < 1 || not (Graph.is_connected g) then
@@ -53,7 +49,7 @@ let prepare ?(seed = 0xC0C0A) ?landmarks ?(strategy = Random_landmarks) g =
   let l = match landmarks with Some l -> max 1 (min n l) | None -> default_landmark_count n in
   let chosen = pick_landmarks ~strategy ~seed g l in
   Array.sort compare chosen;
-  Landmark_core.prepare g ~landmarks:chosen ~up
+  Landmark_core.prepare g ~landmarks:chosen ~up:Landmark_core.Smallest_closer
 
 type decoded = Landmark_core.decoded = {
   dec_order : int;

@@ -21,13 +21,14 @@ type scale = {
    ball of its radius around its center, and a shortest path from the
    center stays inside that ball, so the kernel bounded at [radius + 1]
    reaches exactly the members: first-discoverer parents in port order,
-   each vertex's children discovered, hence listed, in port order, and
-   DFS numbers in that order. *)
+   each vertex's children discovered, hence listed, in port order, with
+   the port the search found them through, and DFS numbers in that
+   order. *)
 let build_tree ws g (c : Cover.cluster) =
   Bfs.search ~parents:true ~radius:(c.Cover.radius + 1) ws g c.Cover.center;
   let m = Bfs.reached ws in
-  let order = Bfs.visit_order ws and parent = Bfs.parent_array ws in
-  let port x y = Option.get (Graph.port_to g ~src:x ~dst:y) in
+  let order = Bfs.visit_order ws and parent = Bfs.parent_array ws
+  and pport = Bfs.parent_port_array ws in
   (* positions in the visit order: a vertex's children are queued while
      it is expanded, so parents come in nondecreasing position *)
   let up = Array.make m 0 in
@@ -49,14 +50,15 @@ let build_tree ws g (c : Cover.cluster) =
   done;
   let kids = Array.make m [] in
   for k = m - 1 downto 1 do
-    let x = order.(up.(k)) in
     kids.(up.(k)) <-
-      (port x order.(k), dfs.(k), dfs.(k) + size.(k) - 1) :: kids.(up.(k))
+      (pport.(order.(k)), dfs.(k), dfs.(k) + size.(k) - 1) :: kids.(up.(k))
   done;
   let nodes = Hashtbl.create m in
   for k = 0 to m - 1 do
     let x = order.(k) in
-    let parent_port = if k = 0 then 0 else port x parent.(x) in
+    let parent_port =
+      if k = 0 then 0 else Option.get (Graph.port_to g ~src:x ~dst:parent.(x))
+    in
     Hashtbl.replace nodes x
       { parent_port; dfs = dfs.(k); children = Array.of_list kids.(k) }
   done;

@@ -17,13 +17,6 @@ let sample_landmarks ~seed ~rate n =
   let picked = if !picked = [] then [ 0 ] else !picked in
   Array.of_list picked
 
-(* Thorup–Zwick's rule: the port to the parent in the landmark's BFS
-   tree. *)
-let up g ~dist:_ ~parent v =
-  match Graph.port_to g ~src:v ~dst:parent.(v) with
-  | Some k -> k
-  | None -> assert false
-
 let prepare ?(seed = 0x72) ?rate g =
   let n = Graph.order g in
   if n < 1 || not (Graph.is_connected g) then
@@ -35,7 +28,7 @@ let prepare ?(seed = 0x72) ?rate g =
       r
     | None -> default_rate n
   in
-  Landmark_core.prepare g ~landmarks:(sample_landmarks ~seed ~rate n) ~up
+  Landmark_core.prepare g ~landmarks:(sample_landmarks ~seed ~rate n) ~up:Landmark_core.Parent
 
 let landmarks = Landmark_core.landmarks
 let home = Landmark_core.home

@@ -325,6 +325,42 @@ let test_kernel_edges () =
   check_true "bad source rejected"
     (try Bfs.search ws long 5000; false with Invalid_argument _ -> true)
 
+(* The parent ports, over the same runs: the search found each vertex
+   it reached, other than the source, through port pport.(y) of
+   parent.(y), the first arc of the parent's row to it; pport reads 0
+   wherever parent reads -1, and a search without parents leaves no
+   ports to read. One workspace through searches with and without
+   parents, bounded or not, gives what a fresh one gives. *)
+let parent_ports_hold run =
+  let ws = Bfs.workspace () in
+  let ports_hold g src =
+    let n = Graph.order g in
+    let parent = Bfs.parent_array ws and pport = Bfs.parent_port_array ws in
+    clean_past n pport 0
+    && pport.(src) = 0
+    && List.for_all
+         (fun y ->
+           if parent.(y) = -1 then pport.(y) = 0
+           else
+             Graph.neighbor g parent.(y) ~port:pport.(y) = y
+             && Graph.port_to g ~src:parent.(y) ~dst:y = Some pport.(y))
+         (List.init n Fun.id)
+  in
+  List.for_all
+    (fun (g, searches) ->
+      List.for_all
+        (fun (src, parents, radius) ->
+          Bfs.search ~parents ?radius ws g src;
+          if parents then begin
+            let fresh = Bfs.workspace () in
+            Bfs.search ~parents ?radius fresh g src;
+            first (Graph.order g) (Bfs.parent_port_array ws) = Bfs.parent_port_array fresh
+            && ports_hold g src
+          end
+          else try ignore (Bfs.parent_port_array ws); false with Invalid_argument _ -> true)
+        searches)
+    run
+
 let suite =
   [
     case "path distances" test_path_distances;
@@ -359,4 +395,6 @@ let suite =
     case "pair search edge cases" test_pair_edges;
     case "warm search allocates nothing" test_warm_search_allocates_nothing;
     case "kernel edge cases" test_kernel_edges;
+    Gen.prop ~count:60 "parent ports lead to the children, one workspace" search_run
+      parent_ports_hold;
   ]

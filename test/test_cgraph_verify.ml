@@ -131,6 +131,66 @@ let test_brute_force_relaxed_bound () =
   let c = Brute.census t ~num:4 ~den:1 ~strict:false in
   check_true "more survivors at stretch 4" (c.Brute.within_stretch >= 1)
 
+(* ---------- check against a per-cell oracle ---------- *)
+
+(* Verify.check as defined: usable_ports on all-pairs distances per
+   cell, violations in row-major order; cells are taken last to first,
+   so the first that raises sets the exception. *)
+let check_oracle g ~constrained ~targets m ~bound =
+  let dist = Bfs.all_pairs g in
+  let p, q = Matrix.dims m in
+  let cell (i, j) =
+    let usable = Verify.usable_ports g ~dist ~src:constrained.(i) ~dst:targets.(j) ~bound in
+    let expected = Matrix.get m i j in
+    if usable = [ expected ] then None else Some { Verify.row = i; col = j; expected; usable }
+  in
+  let cells = List.concat_map (fun i -> List.init q (fun j -> (i, j))) (List.init p Fun.id) in
+  match List.filter_map cell (List.rev cells) with
+  | [] -> Ok ()
+  | vs -> Error (List.rev vs)
+
+(* A graph of constraints, padded or not, with its own matrix or one
+   with entries moved to another port (one past the row's alphabet
+   included); now and then a target swapped for any vertex, which may
+   be a constrained one. *)
+let verify_case =
+  let matrices = Gen.matrix_normalized ~max_p:4 ~max_q:8 ~max_d:8 () in
+  let print (t, m, targets) =
+    Printf.sprintf "cgraph of %s, order %d\nchecked matrix %s, targets %s"
+      (Matrix.to_string t.Cgraph.matrix) (Graph.order t.Cgraph.graph) (Matrix.to_string m)
+      (String.concat " " (Array.to_list (Array.map string_of_int targets)))
+  in
+  Gen.make ~print (fun st ->
+      let m = matrices.Gen.gen st in
+      let t = Cgraph.of_matrix m in
+      let t =
+        if Random.State.bool st then t
+        else Cgraph.pad_to_order t ~n:(Graph.order t.Cgraph.graph + 1 + Random.State.int st 6)
+      in
+      let p, q = Matrix.dims m in
+      let m' =
+        if Random.State.bool st then m
+        else
+          Matrix.create_relaxed
+            (Array.init p (fun i ->
+                 Array.init q (fun j ->
+                     if Random.State.int st 4 > 0 then Matrix.get m i j
+                     else 1 + Random.State.int st (Matrix.row_alphabet m i + 1))))
+      in
+      let targets = Array.copy t.Cgraph.targets in
+      if Random.State.int st 4 = 0 then
+        targets.(Random.State.int st q) <- Random.State.int st (Graph.order t.Cgraph.graph);
+      (t, m', targets))
+
+let check_matches_oracle (t, m, targets) =
+  let g = t.Cgraph.graph and constrained = t.Cgraph.constrained in
+  let outcome f = match f () with r -> Ok r | exception Invalid_argument msg -> Error msg in
+  List.for_all
+    (fun bound ->
+      outcome (fun () -> Verify.check g ~constrained ~targets m ~bound)
+      = outcome (fun () -> check_oracle g ~constrained ~targets m ~bound))
+    [ Verify.below_two; Verify.shortest_paths_only; { Verify.num = 2; den = 1; strict = false } ]
+
 let suite =
   [
     case "3-level structure and port wiring" test_structure;
@@ -182,4 +242,6 @@ let suite =
         match Verify.check_cgraph t' ~bound:Verify.below_two with
         | Ok () -> true
         | Error _ -> false);
+    Gen.prop ~count:300 "check = per-cell usable_ports, perturbed matrices" verify_case
+      check_matches_oracle;
   ]

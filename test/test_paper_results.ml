@@ -99,6 +99,16 @@ let test_params_fit () =
       check_true "d >= 2" (p.Lower_bound.d >= 2))
     [ (64, 0.5); (1024, 0.25); (1024, 0.5); (65536, 0.75) ]
 
+(* NaN included: a guard written as [eps <= 0 || eps >= 1] lets it
+   through, to a bound of 0 bits. *)
+let test_params_refuse_eps () =
+  List.iter
+    (fun eps ->
+      check_true (Printf.sprintf "eps = %g refused" eps)
+        (try ignore (Lower_bound.choose_params ~n:1024 ~eps); false
+         with Invalid_argument _ -> true))
+    [ 0.0; 1.0; -0.5; 2.0; Float.nan; Float.infinity ]
+
 let test_bound_positive_and_below_tables () =
   let b = Lower_bound.theorem1 ~n:16384 ~eps:0.5 in
   check_true "positive" (b.Lower_bound.bits_per_router > 0.0);
@@ -215,4 +225,5 @@ let suite =
     case "theorem row is tight" test_theorem_row;
     case "formulas monotone in n" test_formulas_monotone_in_n;
     case "table printing" test_print_renders;
+    case "theorem-1 refuses eps outside (0, 1)" test_params_refuse_eps;
   ]

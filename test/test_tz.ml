@@ -420,9 +420,7 @@ let graph_with_landmarks =
 
 (* The two schemes' rules for the port toward a landmark: landmark-3's
    smallest port one step closer, tz-3's port to the BFS-tree parent. *)
-let up_rules : Landmark_core.up list =
-  [ (fun g ~dist ~parent:_ v -> Bfs.port_toward g dist v);
-    (fun g ~dist:_ ~parent v -> Option.get (Graph.port_to g ~src:v ~dst:parent.(v))) ]
+let up_rules = [ Landmark_core.Smallest_closer; Landmark_core.Parent ]
 
 (* Under both rules: delivery, stretch <= 3 against BFS distances, and
    the transpose w ∈ B(v) ⇔ v ∈ C(w) between bunches and tables. *)
@@ -464,7 +462,14 @@ module Rows = struct
     trees : tree array;
   }
 
-  let tree g ~(up : Landmark_core.up) root =
+  (* Each up rule as a function of the landmark's BFS, written apart
+     from Landmark_core's loops. *)
+  let up_port (rule : Landmark_core.up) g ~dist ~parent v =
+    match rule with
+    | Landmark_core.Smallest_closer -> Bfs.port_toward g dist v
+    | Landmark_core.Parent -> Option.get (Graph.port_to g ~src:v ~dst:parent.(v))
+
+  let tree g ~up root =
     let n = Graph.order g in
     let dist, parent = Bfs.distances_with_parents g root in
     let dfs = Array.make n 0 and last = Array.make n 0 in
@@ -486,7 +491,7 @@ module Rows = struct
                  if parent.(y) = x then Some (k + 1, dfs.(y), last.(y)) else None)
                (List.init (Array.length row) Fun.id)))
     in
-    let up = Array.init n (fun v -> if v = root then 0 else up g ~dist ~parent v) in
+    let up = Array.init n (fun v -> if v = root then 0 else up_port up g ~dist ~parent v) in
     (dist, { dfs; children; up })
 
   let prepare g ~landmarks ~up =
@@ -624,6 +629,24 @@ let layout_matches_rows (g, landmarks) =
         (List.init n Fun.id))
     up_rules
 
+(* The words encode_vertex hands to Bitbuf.add_bits, under both up
+   rules: each of 1 to 55 bits, the most one word access writes, and
+   in order the router's bits. *)
+let words_make_the_bits (g, landmarks) =
+  let image bits = (Umrs_bitcode.Bitbuf.length bits, Umrs_bitcode.Bitbuf.to_bytes bits) in
+  List.for_all
+    (fun up ->
+      let d = Landmark_core.prepare g ~landmarks ~up in
+      List.for_all
+        (fun v ->
+          let joined = Umrs_bitcode.Bitbuf.create () and ok = ref true in
+          Landmark_core.encode_words d v (fun x ~width ->
+              ok := !ok && 1 <= width && width <= 55;
+              Umrs_bitcode.Bitbuf.add_bits joined x ~width);
+          !ok && image joined = image (Landmark_core.encode_vertex d v))
+        (List.init (Graph.order g) Fun.id))
+    up_rules
+
 let suite =
   [
     case "delivers on petersen" test_delivers_petersen;
@@ -650,4 +673,6 @@ let suite =
     case "sampled summaries pinned: grid 40x40" test_sampled_pinned_grid;
     Gen.prop ~count:300 "flat layout = per-vertex rows: bits, tables, routes"
       layout_case layout_matches_rows;
+    Gen.prop ~count:300 "encoder words: at most 55 bits each, the router's bits"
+      layout_case words_make_the_bits;
   ]
