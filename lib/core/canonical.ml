@@ -2,18 +2,29 @@ open Umrs_graph
 
 type variant = Full | Positional
 
+(* The index of [v] in the ascending [values.(lo .. hi-1)], which holds
+   it. *)
+let rec rank (values : int array) v lo hi =
+  let mid = (lo + hi) / 2 in
+  let x = values.(mid) in
+  if x = v then mid else if x < v then rank values v (mid + 1) hi else rank values v lo mid
+
+(* Each value's label is kept at its rank among the row's distinct
+   values, 0 until its first occurrence: O(q log q), no hashing. *)
 let normalize_row row =
+  let values = Matrix.distinct_values row in
+  let k = Array.length values in
+  let label = Array.make k 0 and out = Array.make (Array.length row) 0 in
   let next = ref 0 in
-  let rename = Hashtbl.create 8 in
-  Array.map
-    (fun v ->
-      match Hashtbl.find_opt rename v with
-      | Some r -> r
-      | None ->
-        incr next;
-        Hashtbl.add rename v !next;
-        !next)
-    row
+  for j = 0 to Array.length row - 1 do
+    let r = rank values row.(j) 0 k in
+    if label.(r) = 0 then begin
+      incr next;
+      label.(r) <- !next
+    end;
+    out.(j) <- label.(r)
+  done;
+  out
 
 (* ------------------------------------------------------------------ *)
 (* Workspace-based canonicalization.
@@ -377,13 +388,31 @@ let canonical_rows ws ~variant entries =
   done;
   ws.best
 
-let canonical ?(variant = Full) m =
+(* The workspace is sized by the largest entry. Past [p * q], which
+   bounds the number of distinct entries, the matrix is canonicalized by
+   its ranks instead: both forms commute with any order-preserving
+   relabelling (Full forgets the values, Positional only compares them),
+   so Positional maps the ranks back. *)
+let rec canonical ?(variant = Full) m =
   let p, q = Matrix.dims m in
-  let ws = workspace ~p ~q ~max_value:(Matrix.max_entry m) in
-  let best = canonical_rows ws ~variant (m : Matrix.t).Matrix.entries in
-  match variant with
-  | Full -> Matrix.create best
-  | Positional -> Matrix.create_relaxed best
+  let max_value = Matrix.max_entry m in
+  let entries = (m : Matrix.t).Matrix.entries in
+  if max_value <= p * q then begin
+    let best = canonical_rows (workspace ~p ~q ~max_value) ~variant entries in
+    match variant with
+    | Full -> Matrix.create best
+    | Positional -> Matrix.create_relaxed best
+  end
+  else begin
+    let values = Matrix.distinct_values (Array.concat (Array.to_list entries)) in
+    let k = Array.length values in
+    let ranks = Array.map (Array.map (fun v -> 1 + rank values v 0 k)) entries in
+    let c = canonical ~variant (Matrix.create_relaxed ranks) in
+    match variant with
+    | Full -> c
+    | Positional ->
+      Matrix.create_relaxed (Array.map (Array.map (fun r -> values.(r - 1))) c.Matrix.entries)
+  end
 
 let is_canonical ?variant m = Matrix.equal m (canonical ?variant m)
 

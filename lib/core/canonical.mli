@@ -90,7 +90,11 @@ val canonical_rows :
 val canonical : ?variant:variant -> Matrix.t -> Matrix.t
 (** The class representative (default [Full]). Idempotent; invariant
     under the variant's permutations of the input. Accepts relaxed
-    matrices; the [Full] result always has normalized rows. *)
+    matrices; the [Full] result always has normalized rows. Both forms
+    commute with an order-preserving relabelling of the values ([Full]
+    is unchanged by it), so a matrix with an entry above [p * q] is
+    canonicalized by its ranks: the workspace never grows past
+    [p * q + 1] values, whatever the entries. *)
 
 val is_canonical : ?variant:variant -> Matrix.t -> bool
 

@@ -33,6 +33,10 @@ val row_alphabet : t -> int -> int
 (** Number of distinct values in a row (= the row's alphabet size
     [k_i], by the prefix property). *)
 
+val distinct_values : int array -> int array
+(** The distinct values of a row (any ints), ascending: a sorted copy
+    with its runs collapsed, [O(q log q)] on a row of [q]. *)
+
 val max_entry : t -> int
 
 val equal : t -> t -> bool

@@ -194,16 +194,13 @@ let distances_with_parents g src =
   search ~parents:true ws g src;
   (ws.dist, ws.parent)
 
-let port_toward g dist v =
-  let row = Graph.neighbors g v in
-  let closer = dist.(v) - 1 in
-  let rec find k =
-    if k >= Array.length row then
-      invalid_arg "Bfs.port_toward: no neighbour is one hop closer"
-    else if dist.(row.(k)) = closer then k + 1
-    else find (k + 1)
-  in
-  find 0
+(* Top level, so a call allocates no closure. *)
+let rec first_closer (row : int array) (dist : int array) closer k =
+  if k >= Array.length row then invalid_arg "Bfs.port_toward: no neighbour is one hop closer"
+  else if dist.(row.(k)) = closer then k + 1
+  else first_closer row dist closer (k + 1)
+
+let port_toward g dist v = first_closer (Graph.neighbors g v) dist (dist.(v) - 1) 0
 
 let distances_with ws g src =
   search ws g src;

@@ -12,21 +12,22 @@ let size g =
 
 let max_degree g = Array.fold_left (fun m row -> max m (Array.length row)) 0 g.adj
 
+(* [seen.(w) = v] once row [v] has listed [w]: a stamp keyed on the row,
+   so one array serves every row with no clearing in between. *)
 let check_simple_symmetric adj =
   let n = Array.length adj in
-  Array.iteri
-    (fun v row ->
-      let seen = Hashtbl.create (Array.length row) in
-      Array.iter
-        (fun w ->
-          if w < 0 || w >= n then invalid_arg "Graph: endpoint out of range";
-          if w = v then invalid_arg "Graph: loop";
-          if Hashtbl.mem seen w then invalid_arg "Graph: duplicate edge";
-          Hashtbl.add seen w ();
-          if not (Array.exists (fun x -> x = v) adj.(w)) then
-            invalid_arg "Graph: not symmetric")
-        row)
-    adj
+  let seen = Array.make n (-1) in
+  for v = 0 to n - 1 do
+    let row = adj.(v) in
+    for k = 0 to Array.length row - 1 do
+      let w = row.(k) in
+      if w < 0 || w >= n then invalid_arg "Graph: endpoint out of range";
+      if w = v then invalid_arg "Graph: loop";
+      if seen.(w) = v then invalid_arg "Graph: duplicate edge";
+      seen.(w) <- v;
+      if not (Array.exists (fun x -> x = v) adj.(w)) then invalid_arg "Graph: not symmetric"
+    done
+  done
 
 let of_adjacency adj =
   let adj = Array.map Array.copy adj in

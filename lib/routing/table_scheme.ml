@@ -1,34 +1,38 @@
 open Umrs_graph
 open Umrs_bitcode
 
-let next_hop_matrix_with_dist g dist =
+(* The port table, one row per source: [ports.(u).(v)] is the port at
+   [u] toward [v]. 0 marks an entry not yet filled (the diagonal stays
+   0). *)
+let empty_table g =
+  if not (Graph.is_connected g) then invalid_arg "Table_scheme: disconnected graph";
   let n = Graph.order g in
-  let m = Array.make_matrix n n 0 in
-  for u = 0 to n - 1 do
-    let du = dist.(u) in
-    for v = 0 to n - 1 do
-      if u <> v then begin
-        if du.(v) = Bfs.infinity then
-          invalid_arg "Table_scheme: disconnected graph";
-        (* smallest port whose head is one step closer to v *)
-        let deg = Graph.degree g u in
-        let rec find k =
-          if k > deg then assert false
-          else begin
-            let w = Graph.neighbor g u ~port:k in
-            if dist.(w).(v) = du.(v) - 1 then k else find (k + 1)
-          end
-        in
-        m.(u).(v) <- find 1
-      end
-    done
-  done;
-  m
+  Array.make_matrix n n 0
 
-let next_hop_matrix g = next_hop_matrix_with_dist g (Bfs.all_pairs g)
+(* Column [v]: at every source [u <> v], the smallest port whose head is
+   one step closer to [v], from one BFS rooted at [v] on [ws]. Every
+   fill of a column writes the same ports, so two domains filling it at
+   once agree. *)
+let fill_column ws g (ports : int array array) v =
+  Bfs.search ws g v;
+  let dist = Bfs.dist_array ws in
+  for u = 0 to Graph.order g - 1 do
+    if u <> v then ports.(u).(v) <- Bfs.port_toward g dist u
+  done
+
+let next_hop_matrix g =
+  let ports = empty_table g and ws = Bfs.workspace () in
+  for v = 0 to Graph.order g - 1 do
+    fill_column ws g ports v
+  done;
+  ports
 
 let next_hop_matrix_parallel ?domains g =
-  next_hop_matrix_with_dist g (Parallel.all_pairs ?domains g)
+  let ports = empty_table g in
+  ignore
+    (Parallel.map_range_with ?domains ~init:Bfs.workspace (Graph.order g) (fun ws v ->
+         fill_column ws g ports v));
+  ports
 
 let encode_vertex g table v =
   let n = Graph.order g in
@@ -53,12 +57,46 @@ let decode_table buf ~order ~degree ~self =
   end;
   table
 
+(* The workspace a fill on demand searches on: one per domain, kept
+   between fills. [busy] is read and set with no safepoint in between,
+   so a thread of the same domain that fills meanwhile sees it and
+   searches on a fresh workspace instead. A fill that raises leaves
+   [busy] set on purpose: [Bfs.reset] undoes only a finished search, so
+   the workspace may hold stale distances, which would give wrong ports.
+   Do not clear [busy] in a [finally]. *)
+type spare = { ws : Bfs.workspace; mutable busy : bool }
+
+let spare = Domain.DLS.new_key (fun () -> { ws = Bfs.workspace (); busy = false })
+
+let fill_on_demand g ports v =
+  let s = Domain.DLS.get spare in
+  if s.busy then fill_column (Bfs.workspace ()) g ports v
+  else begin
+    s.busy <- true;
+    fill_column s.ws g ports v;
+    s.busy <- false
+  end
+
 let build g =
-  let m = next_hop_matrix g in
-  let rf = Routing_function.of_next_hop g (fun u v -> m.(u).(v)) in
+  let ports = empty_table g in
+  let port u v =
+    let k = ports.(u).(v) in
+    if k > 0 then k
+    else begin
+      fill_on_demand g ports v;
+      ports.(u).(v)
+    end
+  in
+  let row v =
+    let r = ports.(v) in
+    for dst = 0 to Array.length r - 1 do
+      if dst <> v && r.(dst) = 0 then fill_on_demand g ports dst
+    done;
+    r
+  in
   {
-    Scheme.rf;
-    local_encoding = (fun v -> encode_vertex g m.(v) v);
+    Scheme.rf = Routing_function.of_next_hop g port;
+    local_encoding = (fun v -> encode_vertex g (row v) v);
     description = "full shortest-path next-hop tables";
   }
 

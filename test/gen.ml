@@ -84,6 +84,33 @@ let perm ?(max_n = 8) () =
   in
   make ~print (fun st -> Perm.random st (1 + Random.State.int st max_n))
 
+(* An int row of 1 to 24 entries (either side of the 16 at which
+   Matrix.distinct_values stops using an insertion sort), or of 200 to
+   260, drawn from a few values, from 1..width, from the positive ints
+   within 2^30 of 1 or of max_int, or from all of int: within 2^29 of 0
+   (negative included), of max_int or of min_int. *)
+let int_row =
+  let print r = String.concat " " (Array.to_list (Array.map string_of_int r)) in
+  make ~print (fun st ->
+      let q =
+        if Random.State.int st 4 = 0 then 200 + Random.State.int st 61
+        else 1 + Random.State.int st 24
+      in
+      let draw =
+        match Random.State.int st 4 with
+        | 0 -> fun () -> 1 + Random.State.int st 3
+        | 1 -> fun () -> 1 + Random.State.int st q
+        | 2 ->
+          fun () ->
+            let x = Random.State.bits st in
+            if Random.State.bool st then 1 + x else max_int - x
+        | _ ->
+          fun () ->
+            let x = Random.State.bits st - (1 lsl 29) in
+            (match Random.State.int st 3 with 0 -> x | 1 -> max_int - abs x | _ -> min_int + abs x)
+      in
+      Array.init q (fun _ -> draw ()))
+
 (* ---------- matrix generators ---------- *)
 
 let print_matrix = Matrix.to_string

@@ -145,6 +145,48 @@ let test_oracle_edge_cases () =
       ("one column", [| [| 3 |]; [| 1 |]; [| 3 |]; [| 2 |] |]);
     ]
 
+(* normalize_row as it stood, a Hashtbl per row: the oracle for the
+   rank loop. *)
+let normalize_oracle row =
+  let next = ref 0 and rename = Hashtbl.create 8 in
+  Array.map
+    (fun v ->
+      match Hashtbl.find_opt rename v with
+      | Some r -> r
+      | None ->
+        incr next;
+        Hashtbl.add rename v !next;
+        !next)
+    row
+
+(* A matrix over 1..d and a strictly increasing map of 1..d into all of
+   the positive ints, most often far past p * q. *)
+let relabel_case =
+  let matrix = Gen.matrix ~max_q:8 ~max_d:8 () in
+  Gen.make
+    ~print:(fun (m, f) ->
+      Printf.sprintf "%s under %s" (Matrix.to_string m)
+        (String.concat " " (Array.to_list (Array.map string_of_int f))))
+    (fun st ->
+      let m = matrix.Gen.gen st in
+      let d = Matrix.max_entry m in
+      let top = match Random.State.int st 3 with 0 -> d | 1 -> 1 lsl 20 | _ -> max_int in
+      let f = Array.make d 0 in
+      (* d increasing values, each at most [step] past the last, so
+         none passes top *)
+      let step = max 1 ((top - d) / d) and x = ref 0 in
+      for v = 0 to d - 1 do
+        x := !x + 1 + Random.State.full_int st step;
+        f.(v) <- !x
+      done;
+      (m, f))
+
+let commutes_with_relabelling (m, f) =
+  let map m = Matrix.create_relaxed (Array.map (Array.map (fun v -> f.(v - 1))) (m : Matrix.t).Matrix.entries) in
+  let positional = Canonical.canonical ~variant:Canonical.Positional in
+  Matrix.equal (positional (map m)) (map (positional m))
+  && Matrix.equal (Canonical.canonical (map m)) (Canonical.canonical m)
+
 let suite =
   [
     case "canonical = definition on every small matrix" test_oracle_exhaustive;
@@ -188,4 +230,8 @@ let suite =
         in
         strictly_increasing set
         && List.for_all (fun m -> Canonical.is_canonical ~variant m) set);
+    Gen.prop ~count:400 "normalize_row = per-row Hashtbl definition" Gen.int_row (fun row ->
+        Canonical.normalize_row row = normalize_oracle row);
+    Gen.prop ~count:300 "canonical commutes with order-preserving relabelling" relabel_case
+      commutes_with_relabelling;
   ]

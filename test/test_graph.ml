@@ -81,6 +81,77 @@ let test_is_connected () =
   check_true "singleton" (Graph.is_connected (Graph.empty 1));
   check_true "two isolated" (not (Graph.is_connected (Graph.empty 2)))
 
+(* ---------- adjacency validation ---------- *)
+
+(* The check as it stood with a Hashtbl per row: the oracle for the
+   stamp array. *)
+let check_oracle adj =
+  let n = Array.length adj in
+  Array.iteri
+    (fun v row ->
+      let seen = Hashtbl.create (Array.length row) in
+      Array.iter
+        (fun w ->
+          if w < 0 || w >= n then invalid_arg "Graph: endpoint out of range";
+          if w = v then invalid_arg "Graph: loop";
+          if Hashtbl.mem seen w then invalid_arg "Graph: duplicate edge";
+          Hashtbl.add seen w ();
+          if not (Array.exists (fun x -> x = v) adj.(w)) then
+            invalid_arg "Graph: not symmetric")
+        row)
+    adj
+
+let outcome f = match f () with _ -> Ok () | exception Invalid_argument msg -> Error msg
+
+let test_malformed_adjacency () =
+  let expect name msg adj =
+    Alcotest.(check (result unit string)) name msg (outcome (fun () -> Graph.of_adjacency adj))
+  in
+  expect "endpoint past n" (Error "Graph: endpoint out of range") [| [| 1 |]; [| 0; 5 |] |];
+  expect "negative endpoint" (Error "Graph: endpoint out of range") [| [| -1 |] |];
+  expect "loop" (Error "Graph: loop") [| [| 0 |] |];
+  expect "duplicate" (Error "Graph: duplicate edge") [| [| 1; 1 |]; [| 0 |] |];
+  (* row 1 repeats neighbour 2, which row 0 also lists *)
+  expect "duplicate after a shared neighbour" (Error "Graph: duplicate edge")
+    [| [| 2 |]; [| 2; 2 |]; [| 0; 1 |] |];
+  expect "not symmetric" (Error "Graph: not symmetric") [| [| 1 |]; [||] |];
+  (* consecutive rows sharing neighbours are no duplicate *)
+  expect "triangle" (Ok ()) [| [| 1; 2 |]; [| 0; 2 |]; [| 0; 1 |] |];
+  expect "vertex 0's first neighbour" (Ok ()) [| [| 1 |]; [| 0 |] |];
+  let of_edges edges = outcome (fun () -> Graph.of_edges ~n:3 edges) in
+  Alcotest.(check (result unit string)) "of_edges duplicate" (Error "Graph: duplicate edge")
+    (of_edges [ (0, 1); (1, 2); (1, 0) ]);
+  Alcotest.(check (result unit string)) "of_edges shared endpoints" (Ok ())
+    (of_edges [ (0, 1); (1, 2); (2, 0) ]);
+  Alcotest.(check (result unit string)) "of_edges loop" (Error "Graph.of_edges: loop")
+    (of_edges [ (0, 1); (2, 2) ]);
+  Alcotest.(check (result unit string)) "of_edges range"
+    (Error "Graph.of_edges: endpoint out of range") (of_edges [ (0, 3) ])
+
+(* Small symmetric graphs, then a few entries rewritten at random
+   (possibly out of range, a loop or a copy of a neighbour). *)
+let adjacency_case =
+  let print adj =
+    String.concat "; "
+      (Array.to_list
+         (Array.map (fun r -> String.concat " " (Array.to_list (Array.map string_of_int r))) adj))
+  in
+  let graphs = Gen.connected_graph ~max_n:12 () in
+  Gen.make ~print (fun st ->
+      let g = graphs.Gen.gen st in
+      let n = Graph.order g in
+      let adj = Array.init n (fun v -> Array.copy (Graph.neighbors g v)) in
+      for _ = 1 to Random.State.int st 3 do
+        let v = Random.State.int st n in
+        let row = adj.(v) in
+        let k = Random.State.int st (Array.length row + 1) in
+        let w = Random.State.int st (n + 2) - 1 in
+        adj.(v) <- Array.append (Array.sub row 0 k) (Array.append [| w |] (Array.sub row k (Array.length row - k)));
+        if Random.State.bool st && Array.length row > 0 then
+          adj.(v) <- Array.sub adj.(v) 1 (Array.length row)
+      done;
+      adj)
+
 let suite =
   [
     case "of_edges basics" test_of_edges_basic;
@@ -114,4 +185,7 @@ let suite =
         let st = rng () in
         let p = Perm.random st (Graph.order g) in
         Graph.size (Graph.permute_vertices g p) = Graph.size g);
+    case "malformed adjacency: the messages" test_malformed_adjacency;
+    Gen.prop ~count:500 "of_adjacency = per-row Hashtbl check" adjacency_case (fun adj ->
+        outcome (fun () -> Graph.of_adjacency adj) = outcome (fun () -> check_oracle adj));
   ]

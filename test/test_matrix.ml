@@ -59,6 +59,48 @@ let test_string_roundtrip () =
   Alcotest.(check string) "to_string" "[1 2 1; 1 1 2]" (Matrix.to_string m);
   check_true "roundtrip" (Matrix.equal m (Matrix.of_string (Matrix.to_string m)))
 
+(* ---------- the row loops against the polymorphic definitions ---------- *)
+
+let distinct_oracle row = List.sort_uniq compare (Array.to_list row)
+
+(* Matrix.create as it stood: shape, then every row's prefix alphabet
+   through List.sort_uniq. *)
+let create_oracle entries =
+  let m = Matrix.create_relaxed entries in
+  Array.iteri
+    (fun i row ->
+      let k = List.length (distinct_oracle row) in
+      if not (Array.for_all (fun x -> x >= 1 && x <= k) row) then
+        invalid_arg
+          (Printf.sprintf "Matrix: row %d does not use a prefix alphabet {1..k}" (i + 1)))
+    entries;
+  m
+
+(* One to four rows of one width: a Gen.int_row, then copies of it or
+   rows over 1..width. *)
+let rows_case =
+  Gen.make
+    ~print:(fun rows -> String.concat "; " (Array.to_list (Array.map Gen.int_row.Gen.print rows)))
+    (fun st ->
+      let first = Gen.int_row.Gen.gen st in
+      let q = Array.length first in
+      Array.init (1 + Random.State.int st 4) (fun i ->
+          if i = 0 then first
+          else if Random.State.bool st then Array.init q (fun _ -> 1 + Random.State.int st q)
+          else Array.init q (fun j -> first.(j))))
+
+let rows_match_oracles rows =
+  let outcome f = match f () with m -> Ok (Matrix.to_string m) | exception Invalid_argument e -> Error e in
+  Array.for_all (fun row -> Array.to_list (Matrix.distinct_values row) = distinct_oracle row) rows
+  && outcome (fun () -> Matrix.create rows) = outcome (fun () -> create_oracle rows)
+  &&
+  match Matrix.create_relaxed rows with
+  | m ->
+    List.for_all
+      (fun i -> Matrix.row_alphabet m i = List.length (distinct_oracle rows.(i)))
+      (List.init (Array.length rows) Fun.id)
+  | exception Invalid_argument _ -> Array.exists (Array.exists (fun x -> x < 1)) rows
+
 let suite =
   [
     case "create validates" test_create_validates;
@@ -91,4 +133,6 @@ let suite =
         (c1 = 0 && c2 = 0 && Matrix.equal a b)
         || (c1 < 0 && c2 > 0)
         || (c1 > 0 && c2 < 0));
+    Gen.prop ~count:400 "row_alphabet, create = polymorphic definitions" rows_case
+      rows_match_oracles;
   ]

@@ -169,6 +169,122 @@ let test_registry_compare_and_csv () =
       | None -> ())
     (Registry.universal ()) evals
 
+(* ---------- the on-demand table ---------- *)
+
+(* The rule written out on its own: from the full distance matrix, the
+   smallest port at [u] whose head is one step closer to [v]. *)
+let oracle_ports g =
+  let n = Graph.order g and dist = Bfs.all_pairs g in
+  Array.init n (fun u ->
+      Array.init n (fun v ->
+          if u = v then 0
+          else begin
+            let k = ref 1 in
+            while dist.(Graph.neighbor g u ~port:!k).(v) <> dist.(u).(v) - 1 do
+              incr k
+            done;
+            !k
+          end))
+
+let port_of (b : Scheme.built) u v =
+  match b.Scheme.rf.Routing_function.port u (Routing_function.Dest v) with
+  | Some k -> k
+  | None -> 0
+
+(* Random connected graphs, graphs of constraints of random normalized
+   (4,8,8) matrices, and the same padded with a path; each with a seed
+   for the order its ports are asked in. *)
+let table_case =
+  let connected = Gen.connected_graph ~max_n:30 () in
+  Gen.make
+    ~print:(fun (g, seed) -> Printf.sprintf "%s\n  asked in shuffle %d" (Gen.print_graph g) seed)
+    (fun st ->
+      let g =
+        match Random.State.int st 3 with
+        | 0 -> connected.Gen.gen st
+        | kind ->
+          let raw = Umrs_core.Orbit.random_raw st ~p:4 ~q:8 ~d:8 in
+          let m =
+            Umrs_core.Matrix.create
+              (Array.init 4 (fun i ->
+                   Umrs_core.Canonical.normalize_row
+                     (Array.init 8 (Umrs_core.Matrix.get raw i))))
+          in
+          let t = Umrs_core.Cgraph.of_matrix m in
+          let t =
+            if kind = 1 then t
+            else
+              Umrs_core.Cgraph.pad_to_order t
+                ~n:(Graph.order t.Umrs_core.Cgraph.graph + 1 + Random.State.int st 12)
+          in
+          t.Umrs_core.Cgraph.graph
+      in
+      (g, Random.State.bits st))
+
+(* A fresh build asked every port in a random order gives the oracle's;
+   encodings read before any route (a second fresh build) and after
+   every route have the same bits, and decode to the oracle's rows. *)
+let on_demand_matches_oracle (g, seed) =
+  let n = Graph.order g and expected = oracle_ports g in
+  let st = Random.State.make [| seed |] in
+  let pairs = Array.init (n * n) (fun i -> (i / n, i mod n)) in
+  for i = Array.length pairs - 1 downto 1 do
+    let j = Random.State.int st (i + 1) in
+    let x = pairs.(i) in
+    pairs.(i) <- pairs.(j);
+    pairs.(j) <- x
+  done;
+  let before = Table_scheme.build g and routed = Table_scheme.build g in
+  let bits b v = Umrs_bitcode.Bitbuf.to_bool_array (b.Scheme.local_encoding v) in
+  let first = Array.init n (fun v -> bits before v) in
+  Array.for_all (fun (u, v) -> u = v || port_of routed u v = expected.(u).(v)) pairs
+  && List.for_all
+       (fun v ->
+         bits routed v = first.(v)
+         && bits before v = first.(v)
+         && Table_scheme.decode_table (routed.Scheme.local_encoding v) ~order:n
+              ~degree:(Graph.degree g v) ~self:v
+            = expected.(v))
+       (List.init n Fun.id)
+
+let test_shared_build_two_domains () =
+  let g = Generators.barabasi_albert (Random.State.make [| 0x7AB; 1 |]) ~n:300 ~m:2 in
+  let n = Graph.order g in
+  let b = Table_scheme.build g in
+  (* both domains walk the destinations in the same order, so they fill
+     the same columns at about the same time; each routes every pair of
+     its sources, then reads the ports *)
+  let rows =
+    Parallel.map_range ~domains:2 n (fun u ->
+        let hops =
+          Array.init n (fun v -> if u = v then 0 else Routing_function.route_length b.Scheme.rf u v)
+        in
+        (hops, Array.init n (fun v -> if u = v then 0 else port_of b u v)))
+  in
+  let dist = Bfs.all_pairs g in
+  check_true "every route is a shortest path" (Array.map fst rows = dist);
+  check_true "two domains read the sequential ports"
+    (Array.map snd rows = Table_scheme.next_hop_matrix g)
+
+let test_sampled_domains_agree () =
+  let g = Generators.barabasi_albert (Random.State.make [| 0x7AB; 2 |]) ~n:500 ~m:2 in
+  let sampled domains =
+    Stretch_dist.sampled ~pairs:4000 ~domains (Table_scheme.build g).Scheme.rf
+  in
+  check_true "sampled ~domains:2 = ~domains:1" (sampled 2 = sampled 1)
+
+let test_disconnected_raises_at_build () =
+  let g = Graph.disjoint_union (Generators.cycle 3) (Generators.path 2) in
+  let raises f =
+    match f () with
+    | _ -> false
+    | exception Invalid_argument msg -> msg = "Table_scheme: disconnected graph"
+  in
+  check_true "build" (raises (fun () -> ignore (Table_scheme.build g)));
+  check_true "next_hop_matrix" (raises (fun () -> ignore (Table_scheme.next_hop_matrix g)));
+  check_true "next_hop_matrix_parallel"
+    (raises (fun () -> ignore (Table_scheme.next_hop_matrix_parallel ~domains:2 g)))
+
 let suite =
   [
     case "route on a path" test_route_on_path;
@@ -209,4 +325,9 @@ let suite =
         && e.Scheme.edges = Graph.size g
         && e.Scheme.mem_local_bits <= e.Scheme.mem_global_bits);
     case "exact mean rounds as the true mean" test_exact_mean_rounds_as_true_mean;
+    Gen.prop ~count:150 "on-demand table = oracle, ports in random order" table_case
+      on_demand_matches_oracle;
+    case "two domains share one fresh build" test_shared_build_two_domains;
+    case "sampled: 2 domains = 1 on routing-tables" test_sampled_domains_agree;
+    case "disconnected graph raises at build" test_disconnected_raises_at_build;
   ]
