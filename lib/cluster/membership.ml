@@ -59,13 +59,17 @@ let local_piece dir lo hi =
     | h -> Some (path, h.Corpus.checksum)
     | exception (Sys_error _ | Invalid_argument _) -> None
 
+(* An index that [Query.open_] refuses (torn by a crash before the
+   index was written atomically, say) is rebuilt, not reused. *)
 let ensure_index path =
-  let idx = Query.index_path path in
-  if Sys.file_exists idx then Ok ()
-  else
+  match Query.open_ ~corpus:path () with
+  | Ok q ->
+    Query.close q;
+    Ok ()
+  | Error _ -> (
     match Query.build ~corpus:path () with
     | Ok _ -> Ok ()
-    | Error e -> Error (Query.error_to_string e)
+    | Error e -> Error (Query.error_to_string e))
 
 (* ---------- configuration ---------- *)
 

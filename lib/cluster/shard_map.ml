@@ -39,20 +39,11 @@ let save ~path sm =
   Bytes.set_uint16_le hdr 8 schema_version;
   Bytes.set_int32_le hdr 10 (Int32.of_int (Bytes.length payload));
   Bytes.set_int64_le hdr 14 (Corpus.fnv64 Corpus.fnv64_seed payload);
-  (* tmp + fsync + rename + dir fsync: the map is either the old
-     topology or the new one, never a torn hybrid *)
-  let tmp = path ^ ".tmp" in
-  let o = Io.open_out tmp in
-  (try
-     Io.output_bytes o hdr;
-     Io.output_bytes o payload;
-     Io.fsync o;
-     Io.close o
-   with e ->
-     Io.close_noerr o;
-     raise e);
-  Io.rename ~src:tmp ~dst:path;
-  Io.fsync_dir (Filename.dirname path)
+  (* the map is either the old topology or the new one, never a torn
+     hybrid *)
+  Io.atomic_write ~path (fun b ->
+      Buffer.add_bytes b hdr;
+      Buffer.add_bytes b payload)
 
 let load ~path =
   (* Every verdict names the file and the field that failed: a map

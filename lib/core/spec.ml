@@ -16,7 +16,7 @@ let lemma2 m =
   let t = Cgraph.of_matrix m in
   let g = t.Cgraph.graph in
   Umrs_graph.Graph.order g <= Cgraph.order_bound ~p ~q ~d
-  && Umrs_graph.Graph.is_connected g
+  && Umrs_graph.Bfs.is_connected g
   && (match Verify.check_cgraph t ~bound:Verify.below_two with
      | Ok () -> true
      | Error _ -> false)

@@ -107,6 +107,30 @@ let fsync_dir dir =
           try Unix.fsync fd with Unix.Unix_error _ -> ()));
     Fault.commit_renames ~dir
 
+(* Rename alone is atomic against concurrent readers but not against
+   power loss: without the fsyncs the new name can point at a torn
+   file, or vanish, after a crash. The content is written in one piece
+   so the seam sees a bounded number of write points per file. *)
+let atomic_write ~path f =
+  let tmp = path ^ ".tmp" in
+  let buf = Buffer.create 512 in
+  f buf;
+  let o = open_out tmp in
+  (match
+     output_string o (Buffer.contents buf);
+     fsync o
+   with
+  | () -> close o
+  | exception (Fault.Crashed as e) ->
+    (* simulated power loss: a dead process removes nothing *)
+    raise e
+  | exception e ->
+    close_noerr o;
+    (try Sys.remove tmp with Sys_error _ -> ());
+    raise e);
+  rename ~src:tmp ~dst:path;
+  fsync_dir (Filename.dirname path)
+
 (* ---------- EINTR-hardened raw syscalls ---------- *)
 
 let sleepf seconds =

@@ -39,6 +39,16 @@ val fsync_dir : string -> unit
 (** Fsync a directory so renames into it survive power loss. Silently
     tolerates filesystems that refuse directory fsync. *)
 
+val atomic_write : path:string -> (Buffer.t -> unit) -> unit
+(** Durable atomic replacement of [path]: the bytes [f] puts in a
+    buffer go, in one write, to [path ^ ".tmp"] in the same directory,
+    which is fsynced, renamed over [path], and the directory fsynced,
+    every step through this seam. A reader, or a restart after power
+    loss, finds the old file or the new one, never a torn one. On an
+    exception other than a simulated crash the temp file is removed
+    and the exception re-raised; [Sys_error] when a file cannot be
+    opened. *)
+
 (** {2 EINTR-hardened raw syscalls}
 
     Wrappers over [Unix] that retry [EINTR] (injected storms and real

@@ -220,6 +220,14 @@ let shortest_path g u v =
     Some (build [] v)
   end
 
+let is_connected g =
+  let n = Graph.order g in
+  n <= 1
+  ||
+  let ws = workspace () in
+  search ws g 0;
+  ws.reached = n
+
 (* The last vertex reached is a farthest one: the queue is in
    nondecreasing distance order. *)
 let eccentricity_with ws g v =

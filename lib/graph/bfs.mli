@@ -142,6 +142,10 @@ val dist : Graph.t -> Graph.vertex -> Graph.vertex -> int
 val shortest_path : Graph.t -> Graph.vertex -> Graph.vertex -> Graph.vertex list option
 (** [shortest_path g u v] is a shortest path [u; ...; v] if any. *)
 
+val is_connected : Graph.t -> bool
+(** One search from vertex 0 reaches every vertex; true on 0 or 1
+    vertex. *)
+
 val eccentricity : Graph.t -> Graph.vertex -> int
 (** Max distance from the vertex; [infinity] if the graph is
     disconnected. *)

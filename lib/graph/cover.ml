@@ -6,41 +6,45 @@ type cluster = {
 
 type t = { r : int; clusters : cluster array; home : int array }
 
-let ball_members dist limit =
-  let acc = ref [] in
-  Array.iteri (fun v d -> if d <= limit then acc := v :: !acc) dist;
-  Array.of_list (List.rev !acc)
-
+(* Every search runs on one workspace bounded at the ball it needs, so
+   a cluster costs its own ball, not an [n]-array. [B(v, limit)] is the
+   search bounded at [limit + 1]; past [n - 1] it is the whole
+   (connected) graph. A ball's visit order is nondecreasing in distance,
+   so [B(v, rho)] is a prefix of [B(v, rho + r)]. *)
 let build g ~r =
   if r < 0 then invalid_arg "Cover.build: negative radius";
-  if not (Graph.is_connected g) then
+  if not (Bfs.is_connected g) then
     invalid_arg "Cover.build: need a connected graph";
   let n = Graph.order g in
   let home = Array.make n (-1) in
   let clusters = ref [] in
   let count = ref 0 in
+  let ws = Bfs.workspace () in
+  let ball v limit = Bfs.search ~radius:(if limit >= n then n else limit + 1) ws g v in
   for v = 0 to n - 1 do
     if home.(v) = -1 then begin
-      let dist = Bfs.distances g v in
       (* grow: rho += r while the (rho+r)-ball more than doubles the
-         rho-ball *)
-      let size limit =
-        Array.fold_left (fun acc d -> if d <= limit then acc + 1 else acc) 0 dist
-      in
-      let rho = ref 0 in
-      while size (!rho + r) > 2 * size !rho do
-        rho := !rho + r
+         rho-ball; the last search is the cluster's ball *)
+      let rho = ref 0 and grow = ref true and core = ref 0 in
+      while !grow do
+        ball v (!rho + r);
+        let order = Bfs.visit_order ws and dist = Bfs.dist_array ws in
+        core := 0;
+        while !core < Bfs.reached ws && dist.(order.(!core)) <= !rho do
+          incr core
+        done;
+        if Bfs.reached ws > 2 * !core then rho := !rho + r else grow := false
       done;
-      let c =
-        { center = v; radius = !rho + r; members = ball_members dist (!rho + r) }
-      in
+      let order = Bfs.visit_order ws in
+      let members = Array.sub order 0 (Bfs.reached ws) in
+      Array.sort Int.compare members;
       let idx = !count in
       incr count;
-      clusters := c :: !clusters;
+      clusters := { center = v; radius = !rho + r; members } :: !clusters;
       (* serve the unserved core: their r-balls fit inside the cluster *)
-      Array.iteri
-        (fun u d -> if d <= !rho && home.(u) = -1 then home.(u) <- idx)
-        dist
+      for j = 0 to !core - 1 do
+        if home.(order.(j)) = -1 then home.(order.(j)) <- idx
+      done
     end
   done;
   { r; clusters = Array.of_list (List.rev !clusters); home }

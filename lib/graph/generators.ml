@@ -226,7 +226,7 @@ let unit_circular_arc st ~n ~arc =
     done
   done;
   let g = Graph.of_edges ~n !edges in
-  if Graph.is_connected g then Some g else None
+  if Bfs.is_connected g then Some g else None
 
 let random_connected st ~n ~m =
   if n < 1 then invalid_arg "Generators.random_connected";
@@ -283,7 +283,7 @@ let random_regular st ~n ~d =
     done;
     if !ok then begin
       let g = Graph.of_edges ~n !edges in
-      if Graph.is_connected g then Some g else None
+      if Bfs.is_connected g then Some g else None
     end
     else None
   in

@@ -166,29 +166,6 @@ let add_edge g u v =
   in
   { adj }
 
-let is_connected g =
-  let n = order g in
-  if n = 0 then true
-  else begin
-    let seen = Array.make n false in
-    let queue = Queue.create () in
-    Queue.add 0 queue;
-    seen.(0) <- true;
-    let count = ref 1 in
-    while not (Queue.is_empty queue) do
-      let v = Queue.pop queue in
-      Array.iter
-        (fun w ->
-          if not seen.(w) then begin
-            seen.(w) <- true;
-            incr count;
-            Queue.add w queue
-          end)
-        g.adj.(v)
-    done;
-    !count = n
-  end
-
 let equal g1 g2 =
   order g1 = order g2
   && Array.for_all2 (fun r1 r2 -> r1 = r2) g1.adj g2.adj

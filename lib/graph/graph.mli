@@ -92,8 +92,6 @@ val add_edge : t -> vertex -> vertex -> t
 
 (** {1 Predicates} *)
 
-val is_connected : t -> bool
-
 val equal : t -> t -> bool
 (** Structural equality including port labels. *)
 

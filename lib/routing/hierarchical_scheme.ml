@@ -1,20 +1,25 @@
 open Umrs_graph
 open Umrs_bitcode
 
+(* A radius past [n - 1] reaches the whole (connected) graph, so each
+   search bound below is capped at [n] and never overflows. *)
 let partition ~radius g =
   if radius < 0 then invalid_arg "Hierarchical: negative radius";
   let n = Graph.order g in
   let cluster_of = Array.make n (-1) in
-  let centers = ref [] in
+  let centers = ref [] and count = ref 0 in
+  let ws = Bfs.workspace () in
   for v = 0 to n - 1 do
     if cluster_of.(v) = -1 then begin
-      let c = List.length !centers in
-      centers := v :: !centers;
       (* claim unassigned vertices within [radius] of v *)
-      let dist = Bfs.distances g v in
-      for w = 0 to n - 1 do
-        if cluster_of.(w) = -1 && dist.(w) <= radius then cluster_of.(w) <- c
-      done
+      Bfs.search ~radius:(min radius n + 1) ws g v;
+      let ball = Bfs.visit_order ws in
+      for j = 0 to Bfs.reached ws - 1 do
+        let w = ball.(j) in
+        if cluster_of.(w) = -1 then cluster_of.(w) <- !count
+      done;
+      centers := v :: !centers;
+      incr count
     end
   done;
   (cluster_of, Array.of_list (List.rev !centers))
@@ -33,45 +38,40 @@ let default_radius g =
   search 1
 
 let build ?radius g =
-  if not (Graph.is_connected g) then
+  if not (Bfs.is_connected g) then
     invalid_arg "Hierarchical: need a connected graph";
   let n = Graph.order g in
   let radius = match radius with Some r -> r | None -> default_radius g in
   let cluster_of, centers = partition ~radius g in
+  (* one workspace for the searches from the centers and the balls *)
+  let ws = Bfs.workspace () in
   let ncl = Array.length centers in
-  (* distances to every center, and to every vertex (for intra entries,
-     reuse per-destination BFS lazily: compute all BFS once per member
-     destination needed). *)
-  let center_dist = Array.map (fun c -> Bfs.distances g c) centers in
-  (* inter-cluster: port of v toward center c *)
-  let inter =
-    Array.init n (fun v ->
-        Array.init ncl (fun c ->
-            if centers.(c) = v then 0
-            else Bfs.port_toward g center_dist.(c) v))
-  in
+  (* inter-cluster: [inter.(v * ncl + c)] is v's port toward center c,
+     0 at the center *)
+  let inter = Array.make (n * ncl) 0 in
+  Array.iteri
+    (fun c center ->
+      Bfs.search ws g center;
+      let dist = Bfs.dist_array ws in
+      for v = 0 to n - 1 do
+        if v <> center then inter.((v * ncl) + c) <- Bfs.port_toward g dist v
+      done)
+    centers;
   (* ball entries: for each destination w, every router within distance
      2r of w stores a shortest-path port toward w. Phase-2 soundness:
      once the target is inside the current ball, the next hop is
      strictly closer, so the target stays inside every later ball. *)
-  let ball = Array.init n (fun _ -> Hashtbl.create 8) in
-  for w = 0 to n - 1 do
-    let dist = Bfs.distances g w in
-    for v = 0 to n - 1 do
-      if v <> w && dist.(v) <= 2 * radius then
-        Hashtbl.replace ball.(v) w (Bfs.port_toward g dist v)
-    done
-  done;
-  let intra = ball in
+  let ball = if radius >= n then n else (2 * radius) + 1 in
+  let balls = Ball_table.build ws g ~radius:(Array.make n ball) in
   let init _u v = Routing_function.Packed [| v; cluster_of.(v) |] in
   let port x h =
     match h with
     | Routing_function.Packed [| v; c |] ->
       if x = v then None
       else begin
-        match Hashtbl.find_opt intra.(x) v with
-        | Some p -> Some p
-        | None -> Some inter.(x).(c)
+        match Ball_table.find balls x v with
+        | Some _ as p -> p
+        | None -> Some inter.((x * ncl) + c)
       end
     | _ -> invalid_arg "hierarchical: malformed header"
   in
@@ -87,20 +87,16 @@ let build ?radius g =
     Codes.write_gamma buf (ncl + 1);
     Codes.write_bounded buf cluster_of.(v) ~bound:(max 2 ncl);
     (* inter table: one port per center (0 = self) *)
-    Array.iter
-      (fun p -> Codes.write_fixed buf p ~width:(pwidth + 1))
-      inter.(v);
-    (* intra table: (member, port) pairs *)
-    Codes.write_gamma buf (Hashtbl.length intra.(v) + 1);
-    let entries =
-      Hashtbl.fold (fun w p acc -> (w, p) :: acc) intra.(v) []
-      |> List.sort compare
-    in
-    List.iter
-      (fun (w, p) ->
-        Codes.write_fixed buf w ~width:vwidth;
-        Codes.write_fixed buf (p - 1) ~width:pwidth)
-      entries;
+    for c = 0 to ncl - 1 do
+      Codes.write_fixed buf inter.((v * ncl) + c) ~width:(pwidth + 1)
+    done;
+    (* intra table: (member, port) pairs, members ascending *)
+    let lo = balls.Ball_table.off.(v) and hi = balls.off.(v + 1) in
+    Codes.write_gamma buf (hi - lo + 1);
+    for i = lo to hi - 1 do
+      Codes.write_fixed buf balls.dst.(i) ~width:vwidth;
+      Codes.write_fixed buf (balls.port.(i) - 1) ~width:pwidth
+    done;
     buf
   in
   {

@@ -21,11 +21,7 @@ type t = {
   landmark : int array;
   dist_to_a : int array;
   home : int array;
-  (* x's cluster table is the CSR entries [coff.(x) .. coff.(x+1) - 1]:
-     destinations ascending, each with its port *)
-  coff : int array;
-  cdst : int array;
-  cport : int array;
+  cluster : Ball_table.t;  (* x stores v iff 0 < d(x,v) < d(v,A) *)
   trees : tree array;      (* one per landmark *)
 }
 
@@ -96,18 +92,6 @@ let tree g ~up ws ~size ~fill root =
     done);
   { dfs; up = ups; off; kid_port; kid_last }
 
-(* An int array that doubles as it fills. *)
-type ints = { mutable a : int array; mutable len : int }
-
-let push b x =
-  if b.len = Array.length b.a then begin
-    let a = Array.make ((2 * b.len) + 64) 0 in
-    Array.blit b.a 0 a 0 b.len;
-    b.a <- a
-  end;
-  b.a.(b.len) <- x;
-  b.len <- b.len + 1
-
 let prepare g ~landmarks ~up =
   let n = Graph.order g in
   let dist_to_a = Array.make n max_int and home = Array.make n 0 in
@@ -130,45 +114,13 @@ let prepare g ~landmarks ~up =
         done;
         tree g ~up ws ~size ~fill root)
   in
-  (* x <> v stores v iff d(x,v) < d(v,A): x lies in v's ball. The balls
-     are walked in increasing v, one entry per member x (x, and x's
-     port toward v), v's entries from first.(v); a stable counting sort
-     by x then leaves each table sorted by destination. *)
-  let at = { a = [||]; len = 0 } and ports = { a = [||]; len = 0 } in
-  let first = Array.make (n + 1) 0 and coff = Array.make (n + 1) 0 in
-  for v = 0 to n - 1 do
-    first.(v) <- at.len;
-    if dist_to_a.(v) > 0 then begin
-      Bfs.search ~radius:dist_to_a.(v) ws g v;
-      let ball = Bfs.visit_order ws and dist = Bfs.dist_array ws in
-      for j = 1 to Bfs.reached ws - 1 do
-        let x = ball.(j) in
-        push at x;
-        push ports (Bfs.port_toward g dist x);
-        coff.(x + 1) <- coff.(x + 1) + 1
-      done
-    end
-  done;
-  first.(n) <- at.len;
-  for x = 0 to n - 1 do
-    coff.(x + 1) <- coff.(x + 1) + coff.(x)
-  done;
-  let fill = Array.sub coff 0 n in
-  let cdst = Array.make at.len 0 and cport = Array.make at.len 0 in
-  for v = 0 to n - 1 do
-    for e = first.(v) to first.(v + 1) - 1 do
-      let x = at.a.(e) in
-      cdst.(fill.(x)) <- v;
-      cport.(fill.(x)) <- ports.a.(e);
-      fill.(x) <- fill.(x) + 1
-    done
-  done;
-  { graph = g; landmark = landmarks; dist_to_a; home; coff; cdst; cport; trees }
+  let cluster = Ball_table.build ws g ~radius:dist_to_a in
+  { graph = g; landmark = landmarks; dist_to_a; home; cluster; trees }
 
 let landmarks d = Array.copy d.landmark
 let home d v = d.home.(v)
 let dist_to_landmarks d v = d.dist_to_a.(v)
-let cluster_members d x = Array.sub d.cdst d.coff.(x) (d.coff.(x + 1) - d.coff.(x))
+let cluster_members d x = Ball_table.members d.cluster x
 
 let bunch d v =
   let radius = d.dist_to_a.(v) in
@@ -180,17 +132,6 @@ let bunch d v =
     Array.sort compare members;
     members
   end
-
-let cluster_lookup d x dst =
-  let rec bin lo hi =
-    if lo > hi then None
-    else begin
-      let mid = (lo + hi) / 2 in
-      let w = d.cdst.(mid) in
-      if w = dst then Some d.cport.(mid) else if w < dst then bin (mid + 1) hi else bin lo (mid - 1)
-    end
-  in
-  bin d.coff.(x) (d.coff.(x + 1) - 1)
 
 (* The child whose subtree holds [dfs]: the first, in port order, whose
    last number reaches it, if [dfs] lies in (dfs x, last x] at all. *)
@@ -211,7 +152,7 @@ let routing_function d =
     | Routing_function.Packed [| v; li; dfs |] ->
       if x = v then None
       else begin
-        match cluster_lookup d x v with
+        match Ball_table.find d.cluster x v with
         | Some _ as p -> p
         | None -> (
           let t = d.trees.(li) in
@@ -292,10 +233,11 @@ let encode_words d v emit =
   for i = 0 to Array.length trees - 1 do
     put p trees.(i).up.(v) ~width:(pwidth + 1)
   done;
-  put_gamma p (d.coff.(v + 1) - d.coff.(v) + 1);
-  for i = d.coff.(v) to d.coff.(v + 1) - 1 do
-    put p d.cdst.(i) ~width:vwidth;
-    put p (d.cport.(i) - 1) ~width:pwidth
+  let c = d.cluster in
+  put_gamma p (c.Ball_table.off.(v + 1) - c.off.(v) + 1);
+  for i = c.off.(v) to c.off.(v + 1) - 1 do
+    put p c.dst.(i) ~width:vwidth;
+    put p (c.port.(i) - 1) ~width:pwidth
   done;
   for i = 0 to Array.length trees - 1 do
     let t = trees.(i) in

@@ -13,11 +13,10 @@
     - the home [p(v)] is the landmark nearest to [v], smallest index on
       ties, and [d(v,A) = d(v, p(v))];
     - the cluster table at [x] stores, for every destination [v] with
-      [0 < d(x,v) < d(v,A)], the smallest port one step closer to [v].
-      It is filled by one bounded {!Umrs_graph.Bfs.search} out of each
-      [v], which reaches exactly the ball [d(v,·) < d(v,A)] and resets
-      its workspace in [O(|ball|)], so the tables cost
-      [O(Σ|C| + |A|·m)] to build rather than [Θ(n²)];
+      [0 < d(x,v) < d(v,A)], the smallest port one step closer to [v]:
+      the {!Ball_table} of radius [d(v,A)], one bounded search per
+      destination, so the tables cost [O(Σ|C| + |A|·m)] to build rather
+      than [Θ(n²)];
     - in each landmark tree every vertex stores, per child arc in port
       order, the DFS interval [lo, hi] of the child's subtree. A
       vertex's children are queued in port order while it is expanded,
@@ -35,12 +34,9 @@
     children's subtrees tile [(dfs x, last x]], so [lo] is never
     stored: the eldest child's is [dfs x + 1], each next one the
     previous [hi + 1]. That is [5n - 1] int words per tree. The
-    cluster tables are one CSR over all vertices (offsets, then
-    destinations ascending within each vertex, and their ports), found
-    by walking the balls in increasing destination order and
-    counting-sorting the entries stably by vertex. The router
-    binary-searches a cluster slice, then scans a slice of last
-    numbers. This layout is not the bit layout of {!encode_vertex},
+    cluster tables are the {!Ball_table}'s one CSR over all vertices.
+    The router binary-searches a cluster slice, then scans a slice of
+    last numbers. This layout is not the bit layout of {!encode_vertex},
     which writes every [(port, lo, hi)].
 
     Routing [u -> v], header [(v, index of p(v), DFS number of v in

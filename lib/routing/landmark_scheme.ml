@@ -8,6 +8,8 @@ let default_landmark_count n =
 
 type strategy = Random_landmarks | High_degree | K_center
 
+type data = Landmark_core.t
+
 let pick_landmarks ~strategy ~seed g l =
   let n = Graph.order g in
   match strategy with
@@ -44,7 +46,7 @@ let pick_landmarks ~strategy ~seed g l =
 
 let prepare ?(seed = 0xC0C0A) ?landmarks ?(strategy = Random_landmarks) g =
   let n = Graph.order g in
-  if n < 1 || not (Graph.is_connected g) then
+  if n < 1 || not (Bfs.is_connected g) then
     invalid_arg "Landmark_scheme: need a non-empty connected graph";
   let l = match landmarks with Some l -> max 1 (min n l) | None -> default_landmark_count n in
   let chosen = pick_landmarks ~strategy ~seed g l in
@@ -77,7 +79,3 @@ let scheme =
     stretch_bound = Some 3.0;
     build = (fun g -> build g);
   }
-
-let cluster_sizes ?seed ?landmarks ?strategy g =
-  let d = prepare ?seed ?landmarks ?strategy g in
-  Array.init (Graph.order g) (fun v -> Array.length (Landmark_core.cluster_members d v))

@@ -31,17 +31,21 @@ type strategy =
   | High_degree        (** the [l] largest-degree vertices *)
   | K_center           (** greedy farthest-point (2-approx k-center) *)
 
+type data = Landmark_core.t
+(** The prepared per-graph state, read through {!Landmark_core}. *)
+
+val prepare :
+  ?seed:int -> ?landmarks:int -> ?strategy:strategy -> Graph.t -> data
+(** The landmark set chosen by [strategy] (default [Random_landmarks],
+    drawn from [seed], default 0xC0C0A), precomputed on a non-empty
+    connected graph. *)
+
 val build :
   ?seed:int -> ?landmarks:int -> ?strategy:strategy -> Graph.t -> Scheme.built
-(** Landmark set chosen by [strategy] (default [Random_landmarks], drawn
-    from [seed], default 0xC0C0A). *)
+(** {!prepare}, then the router and its bits. *)
 
 val scheme : Scheme.t
 (** ["landmark-3"] with default parameters; stretch bound 3. *)
-
-val cluster_sizes :
-  ?seed:int -> ?landmarks:int -> ?strategy:strategy -> Graph.t -> int array
-(** Per-vertex cluster-table sizes (for the memory-balance ablation). *)
 
 (** {1 Decoding} *)
 

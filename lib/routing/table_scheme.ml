@@ -5,7 +5,7 @@ open Umrs_bitcode
    [u] toward [v]. 0 marks an entry not yet filled (the diagonal stays
    0). *)
 let empty_table g =
-  if not (Graph.is_connected g) then invalid_arg "Table_scheme: disconnected graph";
+  if not (Bfs.is_connected g) then invalid_arg "Table_scheme: disconnected graph";
   let n = Graph.order g in
   Array.make_matrix n n 0
 
@@ -25,13 +25,6 @@ let next_hop_matrix g =
   for v = 0 to Graph.order g - 1 do
     fill_column ws g ports v
   done;
-  ports
-
-let next_hop_matrix_parallel ?domains g =
-  let ports = empty_table g in
-  ignore
-    (Parallel.map_range_with ?domains ~init:Bfs.workspace (Graph.order g) (fun ws v ->
-         fill_column ws g ports v));
   ports
 
 let encode_vertex g table v =

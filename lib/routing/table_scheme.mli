@@ -19,11 +19,6 @@ val next_hop_matrix : Graph.t -> Graph.port array array
     [Invalid_argument "Table_scheme: disconnected graph"] unless the
     graph is connected. *)
 
-val next_hop_matrix_parallel : ?domains:int -> Graph.t -> Graph.port array array
-(** [next_hop_matrix] with the destinations handed out to OCaml domains
-    ({!Umrs_graph.Parallel}), one BFS workspace each, so domains write
-    disjoint columns; identical output (tested). *)
-
 val build : Graph.t -> Scheme.built
 (** Routing function + per-router table encodings, on demand. [build]
     checks connectivity and raises as {!next_hop_matrix} does, then

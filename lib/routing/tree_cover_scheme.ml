@@ -65,7 +65,7 @@ let build_tree ws g (c : Cover.cluster) =
   { nodes }
 
 let prepare g =
-  if not (Graph.is_connected g) then
+  if not (Bfs.is_connected g) then
     invalid_arg "Tree_cover: need a connected graph";
   let nscales = 1 + Codes.ceil_log2 (max 1 (Bfs.diameter g)) in
   let ws = Bfs.workspace () in

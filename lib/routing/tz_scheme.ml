@@ -19,7 +19,7 @@ let sample_landmarks ~seed ~rate n =
 
 let prepare ?(seed = 0x72) ?rate g =
   let n = Graph.order g in
-  if n < 1 || not (Graph.is_connected g) then
+  if n < 1 || not (Bfs.is_connected g) then
     invalid_arg "Tz_scheme: need a non-empty connected graph";
   let rate =
     match rate with
@@ -29,12 +29,6 @@ let prepare ?(seed = 0x72) ?rate g =
     | None -> default_rate n
   in
   Landmark_core.prepare g ~landmarks:(sample_landmarks ~seed ~rate n) ~up:Landmark_core.Parent
-
-let landmarks = Landmark_core.landmarks
-let home = Landmark_core.home
-let dist_to_landmarks = Landmark_core.dist_to_landmarks
-let bunch = Landmark_core.bunch
-let cluster_members = Landmark_core.cluster_members
 
 type decoded = Landmark_core.decoded = {
   dec_order : int;
@@ -53,7 +47,7 @@ let build ?seed ?rate g =
     local_encoding = Landmark_core.encode_vertex d;
     description =
       Printf.sprintf "Thorup-Zwick stretch-3, %d sampled landmarks"
-        (Array.length (landmarks d));
+        (Array.length (Landmark_core.landmarks d));
   }
 
 let scheme =

@@ -28,33 +28,15 @@ val default_rate : int -> float
 (** [1 / sqrt n] — expected [sqrt n] landmarks, balancing the
     [~sqrt n] expected cluster size against the per-tree state. *)
 
-type data
-(** The prepared per-graph state (landmarks, bunches/clusters, trees). *)
+type data = Landmark_core.t
+(** The prepared per-graph state (landmarks, bunches/clusters, trees),
+    read through {!Landmark_core}. *)
 
 val prepare : ?seed:int -> ?rate:float -> Graph.t -> data
 (** Sample and precompute on a non-empty connected graph. [seed]
     defaults to a fixed constant (builds are reproducible); [rate]
     defaults to {!default_rate} and must lie in [(0, 1]]. An empty
     sample falls back to the single landmark [{0}]. *)
-
-val landmarks : data -> int array
-(** The sampled set [A], sorted ascending. *)
-
-val home : data -> Graph.vertex -> int
-(** Index into {!landmarks} of [p(v)]. *)
-
-val dist_to_landmarks : data -> Graph.vertex -> int
-(** [d(v, A)]; [0] iff [v] is a landmark. *)
-
-val bunch : data -> Graph.vertex -> int array
-(** [B(v) = { w : d(v,w) < d(v,A) }] excluding [v], sorted — recomputed
-    by a fresh bounded BFS, so tests can check the
-    [w ∈ B(v) ⇔ v ∈ C(w)] transpose property against
-    {!cluster_members}. *)
-
-val cluster_members : data -> Graph.vertex -> int array
-(** Destinations in [x]'s stored cluster table
-    [{ v : d(x,v) < d(v,A) }], sorted. *)
 
 val build : ?seed:int -> ?rate:float -> Graph.t -> Scheme.built
 

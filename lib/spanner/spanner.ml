@@ -26,7 +26,7 @@ let within_distance adj n u v limit =
 
 let greedy g ~k =
   if k < 1 then invalid_arg "Spanner.greedy: need k >= 1";
-  if not (Graph.is_connected g) then
+  if not (Bfs.is_connected g) then
     invalid_arg "Spanner.greedy: graph must be connected";
   let n = Graph.order g in
   let limit = (2 * k) - 1 in

@@ -24,33 +24,6 @@ let rec init_dir ~dir =
   else if not (Sys.is_directory dir) then
     invalid_arg (Printf.sprintf "Checkpoint: %s exists and is not a directory" dir)
 
-(* Durable atomic write: dump to a temp file in the same directory,
-   fsync it, rename over the target, then fsync the directory. Rename
-   alone is atomic against concurrent readers but not against power
-   loss — without the fsyncs the new name can point at a torn file, or
-   vanish, after a crash. The file content is produced into a buffer
-   and written in one piece so the fault seam sees a bounded number of
-   write points per checkpoint. *)
-let atomic_write ~path f =
-  let tmp = path ^ ".tmp" in
-  let buf = Buffer.create 512 in
-  f buf;
-  let o = Io.open_out tmp in
-  (match
-     Io.output_string o (Buffer.contents buf);
-     Io.fsync o
-   with
-  | () -> Io.close o
-  | exception (Umrs_fault.Fault.Crashed as e) ->
-    (* simulated power loss: a dead process removes nothing *)
-    raise e
-  | exception e ->
-    Io.close_noerr o;
-    (try Sys.remove tmp with Sys_error _ -> ());
-    raise e);
-  Io.rename ~src:tmp ~dst:path;
-  Io.fsync_dir (Filename.dirname path)
-
 let variant_name = function
   | Canonical.Full -> "full"
   | Canonical.Positional -> "positional"
@@ -66,7 +39,7 @@ let manifest_exists ~dir = Sys.file_exists (Filename.concat dir manifest_name)
 
 let save_manifest ~dir m =
   init_dir ~dir;
-  atomic_write ~path:(Filename.concat dir manifest_name) (fun b ->
+  Io.atomic_write ~path:(Filename.concat dir manifest_name) (fun b ->
       Buffer.add_string b "umrs-corpus-checkpoint v1\n";
       Printf.bprintf b "p=%d q=%d d=%d variant=%s total=%d every=%d shards=%d\n"
         m.m_p m.m_q m.m_d (variant_name m.m_variant) m.m_total
@@ -145,7 +118,7 @@ let shard_header_bytes = 60
 let shard_version = 1
 
 let save_shard ~dir ~p ~q ~d ~variant s =
-  atomic_write ~path:(Filename.concat dir (shard_name s.s_shard)) (fun out ->
+  Io.atomic_write ~path:(Filename.concat dir (shard_name s.s_shard)) (fun out ->
       let records = List.map (Corpus.Record.encode ~p ~q ~d) s.s_matrices in
       let checksum = List.fold_left Corpus.fnv64 Corpus.fnv64_seed records in
       let b = Bytes.make shard_header_bytes '\000' in

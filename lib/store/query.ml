@@ -186,10 +186,11 @@ let build ~corpus ?(stride = default_stride) ?out () =
       x_samples = s; x_checksum = 0L }
   in
   let m = { m with x_checksum = index_checksum m payload } in
-  let oc = try open_out_bin out with Sys_error msg -> fail (Io msg) in
-  Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () ->
-      output_bytes oc (header_image m);
-      output_bytes oc payload);
+  (* atomic, so a crash mid-write leaves no torn index; a [Sys_error]
+     becomes [Io] *)
+  Umrs_fault.Io.atomic_write ~path:out (fun b ->
+      Buffer.add_bytes b (header_image m);
+      Buffer.add_bytes b payload);
   m
 
 (* ---------- open ---------- *)

@@ -2,7 +2,7 @@
 
 open Umrs_graph
 
-let is_tree g = Graph.is_connected g && Graph.size g = Graph.order g - 1
+let is_tree g = Bfs.is_connected g && Graph.size g = Graph.order g - 1
 
 let is_regular g =
   let n = Graph.order g in

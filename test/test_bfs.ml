@@ -49,7 +49,7 @@ let test_bfs_tree () =
   let g = Generators.cycle 5 in
   let t = Bfs.bfs_tree g 0 in
   check_int "spanning tree edges" 4 (Graph.size t);
-  check_true "tree is connected" (Graph.is_connected t);
+  check_true "tree is connected" (Bfs.is_connected t);
   (* distances in the tree from the root equal graph distances *)
   check_true "root distances preserved" (Bfs.distances t 0 = Bfs.distances g 0)
 
@@ -361,6 +361,55 @@ let parent_ports_hold run =
         searches)
     run
 
+(* ---------- connectivity against the Queue loop it replaced ---------- *)
+
+(* Graph.is_connected before the kernel took it over: a Stdlib.Queue
+   BFS from vertex 0 counting the vertices it reaches. *)
+let connected_oracle g =
+  let n = Graph.order g in
+  if n = 0 then true
+  else begin
+    let seen = Array.make n false in
+    let queue = Queue.create () in
+    Queue.add 0 queue;
+    seen.(0) <- true;
+    let count = ref 1 in
+    while not (Queue.is_empty queue) do
+      let v = Queue.pop queue in
+      Array.iter
+        (fun w ->
+          if not seen.(w) then begin
+            seen.(w) <- true;
+            incr count;
+            Queue.add w queue
+          end)
+        (Graph.neighbors g v)
+    done;
+    !count = n
+  end
+
+(* bfs_graph's graphs, and connected graphs with one isolated vertex
+   put first or last, which a search from vertex 0 misses alone or
+   starts from. *)
+let connectivity_graph =
+  let connected = Gen.connected_graph ~max_n:30 () in
+  Gen.make ~print:Gen.print_graph (fun st ->
+      match Random.State.int st 3 with
+      | 0 -> Graph.disjoint_union (connected.Gen.gen st) (Graph.empty 1)
+      | 1 -> Graph.disjoint_union (Graph.empty 1) (connected.Gen.gen st)
+      | _ -> bfs_graph.Gen.gen st)
+
+let test_is_connected_small () =
+  List.iter
+    (fun (name, g, expected) ->
+      check_true name (Bfs.is_connected g = expected && connected_oracle g = expected))
+    [
+      ("order 0", Graph.empty 0, true);
+      ("order 1", Graph.empty 1, true);
+      ("order 2, no edge", Graph.empty 2, false);
+      ("order 2, an edge", Generators.path 2, true);
+    ]
+
 let suite =
   [
     case "path distances" test_path_distances;
@@ -397,4 +446,7 @@ let suite =
     case "kernel edge cases" test_kernel_edges;
     Gen.prop ~count:60 "parent ports lead to the children, one workspace" search_run
       parent_ports_hold;
+    Gen.prop ~count:200 "is_connected = Queue loop" connectivity_graph (fun g ->
+        Bfs.is_connected g = connected_oracle g);
+    case "is_connected on orders 0, 1 and 2" test_is_connected_small;
   ]

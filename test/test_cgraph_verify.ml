@@ -11,7 +11,7 @@ let test_structure () =
   (* p=2 rows with alphabet 2 each: 2 + 3 + 4 = 9 vertices *)
   check_int "order" 9 (Graph.order g);
   check_true "within bound" (Graph.order g <= Cgraph.order_bound ~p:2 ~q:3 ~d:2);
-  check_true "connected" (Graph.is_connected g);
+  check_true "connected" (Bfs.is_connected g);
   (* port k of a_i leads to c_{i,k} *)
   Array.iteri
     (fun i ai ->
@@ -72,7 +72,7 @@ let test_pad_to_order () =
   let t = Cgraph.of_matrix (sample_matrix ()) in
   let t' = Cgraph.pad_to_order t ~n:20 in
   check_int "padded order" 20 (Graph.order t'.Cgraph.graph);
-  check_true "still connected" (Graph.is_connected t'.Cgraph.graph);
+  check_true "still connected" (Bfs.is_connected t'.Cgraph.graph);
   check_true "still forced"
     (match Verify.check_cgraph t' ~bound:Verify.below_two with
     | Ok () -> true
@@ -211,7 +211,7 @@ let suite =
         let p, q = Matrix.dims m in
         let d = Matrix.max_entry m in
         Graph.order g <= Cgraph.order_bound ~p ~q ~d
-        && Graph.is_connected g
+        && Bfs.is_connected g
         &&
         match Verify.check_cgraph t ~bound:Verify.below_two with
         | Ok () -> true

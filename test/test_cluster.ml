@@ -957,6 +957,58 @@ let test_heartbeat_loss_false_positive_recovery () =
         (Matrix.equal m (ok_client "nth" (Cl.nth cc i))))
     records
 
+(* A node killed while it indexes a piece it holds comes back with the
+   piece intact and its .umrsx torn. Restarted on the same dir, it must
+   rebuild the index, re-enter the map and answer reads. *)
+let test_torn_index_rebuilt_on_restart () =
+  with_tmp_dir @@ fun dir ->
+  let corpus = build_corpus dir in
+  let co_addr = Wire.Unix_sock (Filename.concat dir "co.sock") in
+  let co_cfg =
+    { (Co.default_config ~dir:(Filename.concat dir "co") ~corpus ~listen:co_addr)
+      with Co.heartbeat = 0.05; miss_limit = 3; shards = 1 }
+  in
+  let co = ok_server "coordinator" (Co.start co_cfg) in
+  let ndir k = Filename.concat dir (Printf.sprintf "n%d" k) in
+  let cfg k =
+    { (Ms.default_config ~coordinator:co_addr ~dir:(ndir k)
+         ~listen:(Wire.Unix_sock (Filename.concat (ndir k) "s.sock")))
+      with Ms.heartbeat = 0.05 }
+  in
+  let live = ref [] in
+  let spawn what k =
+    let n = ok_server what (Ms.start (cfg k)) in
+    live := n :: !live;
+    n
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun n -> Ms.stop n; Ms.wait n) !live;
+      Co.shutdown co;
+      Co.wait co)
+  @@ fun () ->
+  ignore (spawn "node 0" 0);
+  let n1 = spawn "node 1" 1 in
+  await "both nodes in the map" (fun () ->
+      match Co.published co with Some sm -> members_in_map sm = 2 | None -> false);
+  let lo, hi = Option.get (Ms.range n1) in
+  live := List.filter (fun n -> n != n1) !live;
+  Ms.stop ~leave:false n1;
+  Ms.wait n1;
+  Unix.truncate (Q.index_path (Ms.piece_path (ndir 1) lo hi)) 10;
+  let back = spawn "restart on the same dir" 1 in
+  await "the restarted node in the map" (fun () ->
+      match Co.published co with
+      | Some sm -> members_in_map sm = 2 && addr_in_map (Ms.self_addr back) sm
+      | None -> false);
+  let _, records = Corpus.load ~path:corpus in
+  let c = ok_client "connect" (C.connect ~retries:5 (Ms.self_addr back)) in
+  Fun.protect ~finally:(fun () -> C.close c) @@ fun () ->
+  List.iteri
+    (fun i m ->
+      check_true "the restarted node answers" (Matrix.equal m (ok_client "nth" (C.nth c i))))
+    records
+
 let suite =
   [
     case "shard map round-trips the wire codec" test_map_codec_roundtrip;
@@ -984,4 +1036,6 @@ let suite =
       test_membership_join_failover_reshard_catchup;
     case "heartbeat loss: false-positive failover, then healing"
       test_heartbeat_loss_false_positive_recovery;
+    case "a torn index is rebuilt when its node restarts"
+      test_torn_index_rebuilt_on_restart;
   ]

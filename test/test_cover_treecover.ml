@@ -92,6 +92,51 @@ let test_treecover_pinned () =
       ("grid 9x7", Generators.grid 9 7, "8e0b4f6d5ba88402b9b2753f35bf28e8");
     ]
 
+(* ---------- Cover.build against the build it replaced ---------- *)
+
+(* Cover.build before it searched on one workspace: a full BFS and an
+   n-array per cluster, every ball size counted over all n vertices. *)
+let cover_oracle g ~r =
+  let n = Graph.order g in
+  let home = Array.make n (-1) in
+  let clusters = ref [] in
+  let count = ref 0 in
+  let ball_members dist limit =
+    let acc = ref [] in
+    Array.iteri (fun v d -> if d <= limit then acc := v :: !acc) dist;
+    Array.of_list (List.rev !acc)
+  in
+  for v = 0 to n - 1 do
+    if home.(v) = -1 then begin
+      let dist = Bfs.distances g v in
+      let size limit =
+        Array.fold_left (fun acc d -> if d <= limit then acc + 1 else acc) 0 dist
+      in
+      let rho = ref 0 in
+      while size (!rho + r) > 2 * size !rho do
+        rho := !rho + r
+      done;
+      let c =
+        { Cover.center = v; radius = !rho + r; members = ball_members dist (!rho + r) }
+      in
+      let idx = !count in
+      incr count;
+      clusters := c :: !clusters;
+      Array.iteri (fun u d -> if d <= !rho && home.(u) = -1 then home.(u) <- idx) dist
+    end
+  done;
+  { Cover.r; clusters = Array.of_list (List.rev !clusters); home }
+
+(* Random connected graphs, paths, cycles and grids. *)
+let cover_graph =
+  let connected = Gen.connected_graph ~max_n:30 () in
+  Gen.make ~print:Gen.print_graph (fun st ->
+      match Random.State.int st 4 with
+      | 0 -> Generators.path (1 + Random.State.int st 40)
+      | 1 -> Generators.cycle (3 + Random.State.int st 40)
+      | 2 -> Generators.grid (1 + Random.State.int st 7) (1 + Random.State.int st 7)
+      | _ -> connected.Gen.gen st)
+
 let suite =
   [
     case "covers cover r-balls" test_cover_covers;
@@ -114,4 +159,6 @@ let suite =
         let s = Stretch_dist.exact b.Scheme.rf in
         s.Stretch_dist.ds_max <= Tree_cover_scheme.stretch_guarantee g);
     case "tree-cover bits pinned" test_treecover_pinned;
+    Gen.prop ~count:100 "cover = the n-array build, r = 0..4" cover_graph (fun g ->
+        List.for_all (fun r -> Cover.build g ~r = cover_oracle g ~r) [ 0; 1; 2; 3; 4 ]);
   ]

@@ -85,7 +85,7 @@ let test_generalized_petersen () =
   let g = Generators.generalized_petersen 7 2 in
   check_int "order" 14 (Graph.order g);
   check_true "3-regular" (Props.is_regular g);
-  check_true "connected" (Graph.is_connected g)
+  check_true "connected" (Bfs.is_connected g)
 
 let test_random_tree () =
   let st = rng () in
@@ -104,7 +104,7 @@ let test_caterpillar () =
 let test_k_tree_chordal () =
   let st = rng () in
   let g = Generators.k_tree st ~k:2 12 in
-  check_true "connected" (Graph.is_connected g);
+  check_true "connected" (Bfs.is_connected g);
   check_int "2-tree edge count" (3 + (2 * 9)) (Graph.size g);
   check_true "chordal" (Props.is_chordal g)
 
@@ -113,7 +113,7 @@ let test_outerplanar () =
   let g = Generators.maximal_outerplanar st 10 in
   (* maximal outerplanar on n vertices has 2n-3 edges *)
   check_int "edges 2n-3" 17 (Graph.size g);
-  check_true "connected" (Graph.is_connected g);
+  check_true "connected" (Bfs.is_connected g);
   check_true "triangulated polygons are chordal" (Props.is_chordal g)
 
 let test_unit_circular_arc () =
@@ -121,25 +121,25 @@ let test_unit_circular_arc () =
   match Generators.unit_circular_arc st ~n:20 ~arc:0.4 with
   | Some g ->
     check_int "order" 20 (Graph.order g);
-    check_true "connected" (Graph.is_connected g)
+    check_true "connected" (Bfs.is_connected g)
   | None -> Alcotest.fail "arc 0.4 on 20 vertices should connect"
 
 let test_random_connected () =
   let st = rng () in
   let g = Generators.random_connected st ~n:15 ~m:30 in
   check_int "edges" 30 (Graph.size g);
-  check_true "connected" (Graph.is_connected g)
+  check_true "connected" (Bfs.is_connected g)
 
 let test_random_regular () =
   let st = rng () in
   let g = Generators.random_regular st ~n:12 ~d:3 in
   check_true "3-regular" (Props.is_regular g && Graph.degree g 0 = 3);
-  check_true "connected" (Graph.is_connected g)
+  check_true "connected" (Bfs.is_connected g)
 
 let test_de_bruijn () =
   let g = Generators.de_bruijn_like 4 in
   check_int "order" 16 (Graph.order g);
-  check_true "connected" (Graph.is_connected g);
+  check_true "connected" (Bfs.is_connected g);
   check_true "degree <= 4" (Graph.max_degree g <= 4);
   check_true "diameter <= dim" (Bfs.diameter g <= 4)
 
@@ -162,7 +162,7 @@ let test_barabasi_albert_degrees () =
   let st = Random.State.make [| 0xBA |] in
   let m = 3 in
   let g = Generators.barabasi_albert st ~n:256 ~m in
-  check_true "connected" (Graph.is_connected g);
+  check_true "connected" (Bfs.is_connected g);
   check_int "edge count" (((m + 1) * m / 2) + (m * (256 - m - 1)))
     (Graph.size g);
   let min_deg = ref max_int in
@@ -178,7 +178,7 @@ let test_chung_lu_connected () =
   let st = Random.State.make [| 0xC7 |] in
   for n = 10 to 15 do
     let g = Generators.chung_lu st ~n:(n * 13) ~exponent:2.5 in
-    check_true "connected" (Graph.is_connected g);
+    check_true "connected" (Bfs.is_connected g);
     check_int "order" (n * 13) (Graph.order g)
   done
 
@@ -186,7 +186,7 @@ let test_fixture_round_trip () =
   List.iter
     (fun name ->
       let g = fixture name in
-      check_true (name ^ " connected") (Graph.is_connected g);
+      check_true (name ^ " connected") (Bfs.is_connected g);
       check_true (name ^ " non-trivial") (Graph.order g >= 32);
       let s = Graph_io.to_string g in
       check_true (name ^ " round-trips exactly")
@@ -199,7 +199,7 @@ let test_corpus () =
   check_true "non-empty" (List.length corpus >= 14);
   List.iter
     (fun (name, g) ->
-      check_true (name ^ " connected") (Graph.is_connected g);
+      check_true (name ^ " connected") (Bfs.is_connected g);
       check_true (name ^ " non-trivial") (Graph.order g >= 4))
     corpus
 
@@ -229,5 +229,5 @@ let suite =
     case "AS fixtures round-trip" test_fixture_round_trip;
     case "corpus" test_corpus;
     prop "random trees have n-1 edges" arbitrary_tree (fun t ->
-        Graph.size t = Graph.order t - 1 && Graph.is_connected t);
+        Graph.size t = Graph.order t - 1 && Bfs.is_connected t);
   ]

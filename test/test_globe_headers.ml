@@ -10,7 +10,7 @@ let test_globe_structure () =
   check_int "size" (4 * 4) (Graph.size g);
   check_int "pole degree" 4 (Graph.degree g 0);
   check_int "pole degree 2" 4 (Graph.degree g 1);
-  check_true "connected" (Graph.is_connected g);
+  check_true "connected" (Bfs.is_connected g);
   check_int "pole distance" 4 (Bfs.dist g 0 1)
 
 let test_globe_single_parallel () =

@@ -68,18 +68,18 @@ let test_disjoint_union () =
   let g = Graph.disjoint_union (triangle ()) (triangle ()) in
   check_int "order" 6 (Graph.order g);
   check_true "shifted edge" (Graph.mem_edge g 3 4);
-  check_true "not connected" (not (Graph.is_connected g))
+  check_true "not connected" (not (Bfs.is_connected g))
 
 let test_add_edge () =
   let g = Graph.add_edge (Graph.empty 2) 0 1 in
   check_true "edge added" (Graph.mem_edge g 0 1);
-  check_true "connected now" (Graph.is_connected g)
+  check_true "connected now" (Bfs.is_connected g)
 
 let test_is_connected () =
-  check_true "triangle" (Graph.is_connected (triangle ()));
-  check_true "empty graph" (Graph.is_connected (Graph.empty 0));
-  check_true "singleton" (Graph.is_connected (Graph.empty 1));
-  check_true "two isolated" (not (Graph.is_connected (Graph.empty 2)))
+  check_true "triangle" (Bfs.is_connected (triangle ()));
+  check_true "empty graph" (Bfs.is_connected (Graph.empty 0));
+  check_true "singleton" (Bfs.is_connected (Graph.empty 1));
+  check_true "two isolated" (not (Bfs.is_connected (Graph.empty 2)))
 
 (* ---------- adjacency validation ---------- *)
 
@@ -166,7 +166,7 @@ let suite =
     case "add_edge" test_add_edge;
     case "is_connected" test_is_connected;
     prop "generated graphs are connected" arbitrary_connected_graph
-      Graph.is_connected;
+      Bfs.is_connected;
     prop "arc count is twice edge count" arbitrary_connected_graph (fun g ->
         let arcs = ref 0 in
         Graph.iter_arcs g (fun _ _ _ -> incr arcs);

@@ -65,6 +65,101 @@ let test_radius_tradeoff () =
         (Routing_function.delivers_all b.Scheme.rf))
     [ 1; 2; 3 ]
 
+(* ---------- pinned encodings ---------- *)
+
+(* Test_tz.golden_digest (the description, every router's bits and 200
+   seeded routes) on the cover+treecover pin graphs at the default
+   radius, 0 and 2, recorded before the balls came from Ball_table. *)
+let test_pinned () =
+  let graphs =
+    [
+      ("ba 120", Generators.barabasi_albert (Random.State.make [| 120; 2 |]) ~n:120 ~m:2);
+      ( "random 90",
+        Generators.random_connected (Random.State.make [| 90; 0x7C |]) ~n:90 ~m:150 );
+      ("grid 9x7", Generators.grid 9 7);
+    ]
+  in
+  List.iter
+    (fun (name, radius, expected) ->
+      let g = List.assoc name graphs in
+      let label = name ^ match radius with Some r -> Printf.sprintf " radius %d" r | None -> "" in
+      Alcotest.(check string)
+        label expected
+        (Test_tz.golden_digest [ g ] (Hierarchical_scheme.build ?radius)))
+    [
+      ("ba 120", None, "3d03a118a35afd05ce94095aaaed2358");
+      ("ba 120", Some 0, "8c0cd8437d25c45710e543667b67fc52");
+      ("ba 120", Some 2, "e794ae5a10d545ceffd360baa70d1462");
+      ("random 90", None, "54bd44c4f28d287f0010e176a98817d5");
+      ("random 90", Some 0, "eb1a4ccbefa588c20683a664315e8804");
+      ("random 90", Some 2, "4f76cd3235d1503aceb0a747c94e91c7");
+      ("grid 9x7", None, "7a7bb94d4c12ba074a68dfb5faedf933");
+      ("grid 9x7", Some 0, "6411f36e6cd04425c0e8000754f7822b");
+      ("grid 9x7", Some 2, "5761f5011a36d846a419822308f15d87");
+    ]
+
+(* ---------- ports against all-pairs distances ---------- *)
+
+(* The smallest port at [x] whose neighbour is one step closer to [t]. *)
+let closer_port g (dist : int array array) x t =
+  let k = ref 1 in
+  while dist.(Graph.neighbor g x ~port:!k).(t) <> dist.(x).(t) - 1 do
+    incr k
+  done;
+  !k
+
+let vertices g = List.init (Graph.order g) Fun.id
+
+(* A random connected graph with a value 0..[max] drawn per vertex. *)
+let graph_with_draws max =
+  let graphs = Gen.connected_graph ~max_n:30 () in
+  let print (g, a) =
+    graphs.Gen.print g ^ "\ndraws: "
+    ^ String.concat " " (Array.to_list (Array.map string_of_int a))
+  in
+  Gen.make ~print (fun st ->
+      let g = graphs.Gen.gen st in
+      (g, Array.init (Graph.order g) (fun _ -> Random.State.int st (max + 1))))
+
+(* At every router x and destination v: the smallest port one step
+   closer to v when d(x,v) <= 2r, else the smallest port one step closer
+   to the center of v's cluster. The radius is vertex 0's draw. *)
+let ports_hold (g, draws) =
+  let radius = draws.(0) in
+  let rf = (Hierarchical_scheme.build ~radius g).Scheme.rf in
+  let cluster_of, centers = Hierarchical_scheme.partition ~radius g in
+  let dist = Bfs.all_pairs g in
+  List.for_all
+    (fun x ->
+      List.for_all
+        (fun v ->
+          x = v
+          ||
+          let t = if dist.(x).(v) <= 2 * radius then v else centers.(cluster_of.(v)) in
+          rf.Routing_function.port x (rf.Routing_function.init x v)
+          = Some (closer_port g dist x t))
+        (vertices g))
+    (vertices g)
+
+(* Ball_table with a radius per destination: x stores exactly the v
+   with 0 < d(x,v) < radius.(v), ascending, each with the smallest port
+   one step closer; built on a workspace a search has already used. *)
+let ball_table_holds (g, radius) =
+  let ws = Bfs.workspace () in
+  Bfs.search ws g (Graph.order g - 1);
+  let t = Ball_table.build ws g ~radius in
+  let dist = Bfs.all_pairs g in
+  List.for_all
+    (fun x ->
+      let stored = List.filter (fun v -> v <> x && dist.(x).(v) < radius.(v)) (vertices g) in
+      Array.to_list (Ball_table.members t x) = stored
+      && List.for_all
+           (fun v ->
+             Ball_table.find t x v
+             = if List.mem v stored then Some (closer_port g dist x v) else None)
+           (vertices g))
+    (vertices g)
+
 let suite =
   [
     case "partition covers" test_partition_covers;
@@ -82,4 +177,8 @@ let suite =
         let radius = Random.State.int st 3 in
         let cluster_of, centers = Hierarchical_scheme.partition ~radius g in
         Array.for_all (fun c -> c >= 0 && c < Array.length centers) cluster_of);
+    case "bits and routes pinned" test_pinned;
+    Gen.prop ~count:100 "ports: ball entry, else toward the center" (graph_with_draws 3)
+      ports_hold;
+    Gen.prop ~count:100 "ball table = all-pairs oracle" (graph_with_draws 4) ball_table_holds;
   ]

@@ -31,13 +31,18 @@ let test_landmark_count_default () =
   let c100 = Landmark_scheme.default_landmark_count 100 in
   check_true "sane range" (c100 >= 10 && c100 <= 60)
 
+(* Per-vertex cluster-table sizes, for the memory-balance checks. *)
+let cluster_sizes ?landmarks ?strategy g =
+  let d = Landmark_scheme.prepare ?landmarks ?strategy g in
+  Array.init (Graph.order g) (fun v -> Array.length (Landmark_core.cluster_members d v))
+
 let test_landmark_clusters_shrink_with_landmarks () =
   (* With every vertex a landmark the cluster radii are zero; with few
      landmarks clusters carry most of the graph. *)
   let g = Generators.cycle 24 in
-  let all = Landmark_scheme.cluster_sizes ~landmarks:24 g in
+  let all = cluster_sizes ~landmarks:24 g in
   check_true "all-landmark clusters empty" (Array.for_all (fun s -> s = 0) all);
-  let few = Landmark_scheme.cluster_sizes ~landmarks:1 g in
+  let few = cluster_sizes ~landmarks:1 g in
   check_true "single-landmark clusters large"
     (Array.exists (fun s -> s > 4) few);
   let total xs = Array.fold_left ( + ) 0 xs in
@@ -45,7 +50,7 @@ let test_landmark_clusters_shrink_with_landmarks () =
 
 let test_cluster_sizes () =
   let g = Generators.cycle 16 in
-  let sizes = Landmark_scheme.cluster_sizes g in
+  let sizes = cluster_sizes g in
   check_int "per-vertex array" 16 (Array.length sizes);
   Array.iter (fun s -> check_true "bounded" (s >= 0 && s < 16)) sizes
 
@@ -111,7 +116,7 @@ let test_kcenter_spreads () =
      largest cluster table relative to clumped high-degree picks *)
   let g = Generators.path 40 in
   let worst strategy =
-    Array.fold_left max 0 (Landmark_scheme.cluster_sizes ~landmarks:4 ~strategy g)
+    Array.fold_left max 0 (cluster_sizes ~landmarks:4 ~strategy g)
   in
   check_true "k-center no worse than high-degree on a path"
     (worst Landmark_scheme.K_center <= worst Landmark_scheme.High_degree)
@@ -163,5 +168,5 @@ let suite =
     prop ~count:30 "spanner is connected and spanning"
       arbitrary_connected_graph (fun g ->
         let h = Spanner.greedy g ~k:4 in
-        Graph.order h = Graph.order g && Graph.is_connected h);
+        Graph.order h = Graph.order g && Bfs.is_connected h);
   ]

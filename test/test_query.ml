@@ -2,6 +2,7 @@ open Umrs_core
 open Umrs_store
 open Helpers
 module Q = Query
+module Fault = Umrs_fault.Fault
 
 (* ---------- fixtures ---------- *)
 
@@ -357,6 +358,32 @@ let test_mmap_matches_buffered () =
   check_true "batched reads identical"
     (Q.batch ~domains:3 mapped reqs = Q.batch ~domains:3 buffered reqs)
 
+(* Query.build crashed by a simulated power loss at each of its fault
+   points leaves either no index or one that opens. *)
+let test_build_crash_leaves_no_torn_index () =
+  with_tmp_dir @@ fun dir ->
+  let path, _ = reference_corpus dir in
+  let idx = Q.index_path path in
+  let build () = Q.build ~corpus:path () in
+  let counted = Fault.with_plan (Fault.pass_plan ~seed:1 ()) build in
+  check_true "the counted build succeeds"
+    (match counted.Fault.outcome with Ok (Ok _) -> true | _ -> false);
+  check_true "the build reaches fault points" (counted.Fault.points > 0);
+  for at = 0 to counted.Fault.points - 1 do
+    List.iter (fun f -> if Sys.file_exists f then Sys.remove f) [ idx; idx ^ ".tmp" ];
+    let r = Fault.with_plan (Fault.crash_at ~seed:at ~at ()) build in
+    check_true (Printf.sprintf "crashed at %d" at) (r.Fault.outcome = Error ());
+    check_true
+      (Printf.sprintf "crash at %d: no index or one that opens" at)
+      ((not (Sys.file_exists idx))
+      ||
+      match Q.open_ ~corpus:path () with
+      | Ok q ->
+        Q.close q;
+        true
+      | Error _ -> false)
+  done
+
 let suite =
   [
     case "reference corpus roundtrip" test_roundtrip_reference;
@@ -368,4 +395,5 @@ let suite =
     case "mmap reader matches buffered reader byte for byte"
       test_mmap_matches_buffered;
     Gen.prop ~count:60 "query agrees with the naive oracle" spec_arb check_spec;
+    case "a crashed build leaves no torn index" test_build_crash_leaves_no_torn_index;
   ]

@@ -281,9 +281,7 @@ let test_disconnected_raises_at_build () =
     | exception Invalid_argument msg -> msg = "Table_scheme: disconnected graph"
   in
   check_true "build" (raises (fun () -> ignore (Table_scheme.build g)));
-  check_true "next_hop_matrix" (raises (fun () -> ignore (Table_scheme.next_hop_matrix g)));
-  check_true "next_hop_matrix_parallel"
-    (raises (fun () -> ignore (Table_scheme.next_hop_matrix_parallel ~domains:2 g)))
+  check_true "next_hop_matrix" (raises (fun () -> ignore (Table_scheme.next_hop_matrix g)))
 
 let suite =
   [

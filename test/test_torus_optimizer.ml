@@ -8,7 +8,7 @@ let test_torus_nd_structure () =
   let g = Generators.torus_nd [ 3; 4; 5 ] in
   check_int "order" 60 (Graph.order g);
   check_true "6-regular" (Props.is_regular g && Graph.degree g 0 = 6);
-  check_true "connected" (Graph.is_connected g);
+  check_true "connected" (Bfs.is_connected g);
   (* matches the 2-d generator metrically *)
   let g2 = Generators.torus_nd [ 4; 4 ] and t2 = Generators.torus 4 4 in
   check_int "same diameter as torus 4x4" (Bfs.diameter t2) (Bfs.diameter g2)

@@ -83,20 +83,20 @@ let test_bunch_cluster_symmetry () =
       for v = 0 to n - 1 do
         (* w ∈ B(v) ⇔ v ∈ C(w): v's bunch is exactly the set of
            vertices whose cluster table stores v *)
-        let b = Tz_scheme.bunch d v in
+        let b = Landmark_core.bunch d v in
         Array.iter
           (fun w ->
             check_true
               (Printf.sprintf "%s: v=%d in cluster(%d)" name v w)
-              (in_arr (Tz_scheme.cluster_members d w) v))
+              (in_arr (Landmark_core.cluster_members d w) v))
           b;
         Array.iter
           (fun w ->
-            if in_arr (Tz_scheme.cluster_members d v) w then
+            if in_arr (Landmark_core.cluster_members d v) w then
               check_true
                 (Printf.sprintf "%s: %d in bunch(%d)" name v w)
-                (in_arr (Tz_scheme.bunch d w) v))
-          (Tz_scheme.cluster_members d v)
+                (in_arr (Landmark_core.bunch d w) v))
+          (Landmark_core.cluster_members d v)
       done)
     graphs
 
@@ -104,27 +104,27 @@ let test_bunch_excludes_landmarks () =
   let st = rng () in
   let g = Generators.random_connected st ~n:30 ~m:60 in
   let d = Tz_scheme.prepare g in
-  let lm = Tz_scheme.landmarks d in
+  let lm = Landmark_core.landmarks d in
   for v = 0 to Graph.order g - 1 do
     check_true "d(v,A) = 0 iff landmark"
-      (Tz_scheme.dist_to_landmarks d v = 0
+      (Landmark_core.dist_to_landmarks d v = 0
       = Array.exists (fun l -> l = v) lm);
     Array.iter
       (fun w ->
         check_true "bunch members are non-landmarks"
           (not (Array.exists (fun l -> l = w) lm)))
-      (Tz_scheme.bunch d v)
+      (Landmark_core.bunch d v)
   done
 
 let test_home_is_nearest () =
   let st = rng () in
   let g = Generators.random_connected st ~n:36 ~m:70 in
   let d = Tz_scheme.prepare g in
-  let lm = Tz_scheme.landmarks d in
+  let lm = Landmark_core.landmarks d in
   let dist = Bfs.all_pairs g in
   for v = 0 to Graph.order g - 1 do
-    let hv = lm.(Tz_scheme.home d v) in
-    check_int "home attains d(v,A)" (Tz_scheme.dist_to_landmarks d v)
+    let hv = lm.(Landmark_core.home d v) in
+    check_int "home attains d(v,A)" (Landmark_core.dist_to_landmarks d v)
       dist.(v).(hv);
     Array.iter
       (fun l -> check_true "nearest" (dist.(v).(l) >= dist.(v).(hv)))
@@ -224,8 +224,8 @@ let test_build_deterministic () =
   (* a different seed draws a different landmark set (overwhelmingly) *)
   let d1 = Tz_scheme.prepare g and d3 = Tz_scheme.prepare ~seed:999 g in
   check_true "seed matters"
-    (Tz_scheme.landmarks d1 <> Tz_scheme.landmarks d3
-    || Array.length (Tz_scheme.landmarks d1) = 40)
+    (Landmark_core.landmarks d1 <> Landmark_core.landmarks d3
+    || Array.length (Landmark_core.landmarks d1) = 40)
 
 (* ---------- memory vs the Cowen-style landmark scheme ---------- *)
 
