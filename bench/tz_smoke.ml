@@ -54,6 +54,15 @@ let check_graph name g ~mean_limit =
     lm_global;
   (b, d, global)
 
+(* Words per vertex per landmark tree: what the prepared core holds
+   beside its graph (Obj.reachable_words), over n times the tree
+   count. The vertex arrays and the cluster tables ride along, so this
+   sits a little above the trees' own 2 words. *)
+let words_per_vertex_tree g d =
+  let words = Obj.reachable_words (Obj.repr d) - Obj.reachable_words (Obj.repr g) in
+  float_of_int words
+  /. float_of_int (Graph.order g * Array.length (Landmark_core.landmarks d))
+
 let () =
   let st = Random.State.make [| 0x72; 0x5EED |] in
   let ba = Generators.barabasi_albert st ~n:256 ~m:2 in
@@ -92,7 +101,11 @@ let () =
           ("ba_p95_stretch", B.Json.Num d_ba.Stretch_dist.ds_p95);
           ("ba_max_stretch", B.Json.Num d_ba.Stretch_dist.ds_max);
           ("powerlaw_mean_stretch", B.Json.Num d_pl.Stretch_dist.ds_mean);
-          ("ba_mem_global_bits", B.Json.Num (float_of_int global_ba)) ]
+          ("ba_mem_global_bits", B.Json.Num (float_of_int global_ba));
+          ("ba_tz3_words_per_vertex_tree",
+           B.Json.Num (words_per_vertex_tree ba (Tz_scheme.prepare ba)));
+          ("ba_landmark3_words_per_vertex_tree",
+           B.Json.Num (words_per_vertex_tree ba (Landmark_scheme.prepare ba))) ]
       ()
   in
   B.Cli.finish ~default_json:"BENCH_tz.json" report;

@@ -24,12 +24,15 @@ let partition ~radius g =
   done;
   (cluster_of, Array.of_list (List.rev !centers))
 
+(* [partition] takes vertex 0 as its first center, so at [r = ecc(0)]
+   it has one center: the search stops there at the latest, and one
+   BFS bounds it where [Bfs.diameter] would take [n]. *)
 let default_radius g =
   let n = Graph.order g in
   let target = int_of_float (Float.ceil (sqrt (float_of_int n))) in
-  let diam = Bfs.diameter g in
+  let ecc = if n = 0 then 0 else Bfs.eccentricity g 0 in
   let rec search r =
-    if r >= diam then diam
+    if r >= ecc then ecc
     else begin
       let _, centers = partition ~radius:r g in
       if Array.length centers <= target then r else search (r + 1)

@@ -28,8 +28,9 @@ val partition : radius:int -> Graph.t -> int array * Graph.vertex array
     claims all unassigned vertices within [radius]. *)
 
 val default_radius : Graph.t -> int
-(** Smallest radius whose partition has at most [ceil(sqrt n)]
-    clusters. *)
+(** Smallest radius from 1 whose partition has at most [ceil(sqrt n)]
+    clusters, and at most vertex 0's eccentricity: there vertex 0, the
+    first center, claims every vertex. One search finds that stop. *)
 
 val build : ?radius:int -> Graph.t -> Scheme.built
 

@@ -3,18 +3,29 @@ open Umrs_bitcode
 
 type up = Parent | Smallest_closer
 
-(* Every table is a flat int array. The children of [x] are the CSR
-   entries [off.(x) .. off.(x+1) - 1], in port order: the port to the
-   child and the last DFS number in its subtree. The children's
+(* A tree is two int arrays. [node.(v)] packs three [field_bits]-bit
+   fields: from the top, v's DFS number, the index of its first child
+   entry and its port toward the root (0 at the root). v's children
+   are the entries from its first to the next vertex's first, or to
+   [n - 1] after the last vertex, in port order; [kid.(c)] packs a
+   child's last DFS number above the port to it. The children's
    subtrees tile [(dfs x, last x]], so a child's first number is one
-   past its elder sibling's last, and the eldest's is [dfs x + 1]. *)
-type tree = {
-  dfs : int array;       (* DFS number per vertex *)
-  up : int array;        (* port toward the root, 0 there *)
-  off : int array;       (* n + 1 offsets into the child entries *)
-  kid_port : int array;  (* per child entry: the port to it *)
-  kid_last : int array;  (* per child entry: last DFS number below it *)
-}
+   past its elder sibling's last, and the eldest's is [dfs x + 1].
+   Every field fits while [n <= max_order]: DFS numbers and entry
+   indices are below [n], and on a simple graph a port is at most
+   [n - 1]. *)
+type tree = { node : int array; kid : int array }
+
+let field_bits = 21
+let max_order = (1 lsl field_bits) - 1
+let[@inline] dfs_of w = w lsr (2 * field_bits)
+let[@inline] first_of w = (w lsr field_bits) land max_order
+let[@inline] port_of w = w land max_order
+let[@inline] last_of k = k lsr field_bits
+
+(* The end of x's slice of child entries. *)
+let[@inline] slice_end t x =
+  if x + 1 < Array.length t.node then first_of t.node.(x + 1) else Array.length t.kid
 
 type t = {
   graph : Graph.t;
@@ -34,13 +45,14 @@ type t = {
    child into its parent's next slot with the port the search recorded.
    A child's first DFS number is then one past its elder sibling's
    last, or its parent's number plus one. [size] and [fill] are scratch
-   of at least [n] ints. *)
-let tree g ~up ws ~size ~fill root =
+   of at least [n] ints, [off] of at least [n + 1]. *)
+let tree g ~up ws ~size ~fill ~off root =
   let n = Graph.order g in
   let order = Bfs.visit_order ws and dist = Bfs.dist_array ws
   and parent = Bfs.parent_array ws and pport = Bfs.parent_port_array ws in
-  (* [off.(x + 1)] counts x's children, then the sums make it CSR *)
-  let off = Array.make (n + 1) 0 in
+  (* [off.(x + 1)] counts x's children, then the sums make them the
+     first entries *)
+  Array.fill off 0 (n + 1) 0;
   Array.fill size 0 n 1;
   for k = n - 1 downto 1 do
     let y = order.(k) in
@@ -52,21 +64,19 @@ let tree g ~up ws ~size ~fill root =
     off.(x) <- off.(x) + off.(x - 1)
   done;
   Array.blit off 0 fill 0 n;
-  let dfs = Array.make n 0 in
-  let kid_port = Array.make (n - 1) 0 and kid_last = Array.make (n - 1) 0 in
+  let node = Array.make n 0 and kid = Array.make (n - 1) 0 in
+  node.(root) <- off.(root) lsl field_bits;
   for k = 1 to n - 1 do
     let y = order.(k) in
     let p = parent.(y) in
     let c = fill.(p) in
     fill.(p) <- c + 1;
-    let first = if c = off.(p) then dfs.(p) + 1 else kid_last.(c - 1) + 1 in
-    dfs.(y) <- first;
-    kid_port.(c) <- pport.(y);
-    kid_last.(c) <- first + size.(y) - 1
+    let first = if c = off.(p) then dfs_of node.(p) + 1 else last_of kid.(c - 1) + 1 in
+    node.(y) <- (first lsl (2 * field_bits)) lor (off.(y) lsl field_bits);
+    kid.(c) <- ((first + size.(y) - 1) lsl field_bits) lor pport.(y)
   done;
   (* the up ports: a scan of each vertex's row for its parent, or for
      its first neighbour one step closer *)
-  let ups = Array.make n 0 in
   (match up with
   | Parent ->
     for v = 0 to n - 1 do
@@ -76,7 +86,7 @@ let tree g ~up ws ~size ~fill root =
         while row.(!k) <> p do
           incr k
         done;
-        ups.(v) <- !k + 1
+        node.(v) <- node.(v) lor (!k + 1)
       end
     done
   | Smallest_closer ->
@@ -87,24 +97,35 @@ let tree g ~up ws ~size ~fill root =
         while dist.(row.(!k)) <> closer do
           incr k
         done;
-        ups.(v) <- !k + 1
+        node.(v) <- node.(v) lor (!k + 1)
       end
     done);
-  { dfs; up = ups; off; kid_port; kid_last }
+  { node; kid }
+
+let refuse fmt = Printf.ksprintf (fun s -> invalid_arg ("Landmark_core.prepare: " ^ s)) fmt
 
 let prepare g ~landmarks ~up =
   let n = Graph.order g in
+  if n > max_order then refuse "%d vertices, more than the %d a tree field holds" n max_order;
+  if Array.length landmarks = 0 then refuse "no landmarks";
+  Array.iteri
+    (fun i l ->
+      if l < 0 || l >= n then refuse "landmark %d outside the graph" l;
+      if i > 0 && l <= landmarks.(i - 1) then
+        refuse "landmarks not strictly increasing (%d after %d)" l landmarks.(i - 1))
+    landmarks;
   let dist_to_a = Array.make n max_int and home = Array.make n 0 in
   (* one workspace for every search: the landmark trees, then the
      balls *)
   let ws = Bfs.workspace () in
-  let size = Array.make n 0 and fill = Array.make n 0 in
+  let size = Array.make n 0 and fill = Array.make n 0 and off = Array.make (n + 1) 0 in
   (* landmarks in index order, so a strict < keeps the smaller index
      on ties *)
   let trees =
     Array.init (Array.length landmarks) (fun i ->
         let root = landmarks.(i) in
         Bfs.search ~parents:true ws g root;
+        if Bfs.reached ws < n then refuse "the graph is not connected";
         let dist = Bfs.dist_array ws in
         for v = 0 to n - 1 do
           if dist.(v) < dist_to_a.(v) then begin
@@ -112,7 +133,7 @@ let prepare g ~landmarks ~up =
             home.(v) <- i
           end
         done;
-        tree g ~up ws ~size ~fill root)
+        tree g ~up ws ~size ~fill ~off root)
   in
   let cluster = Ball_table.build ws g ~radius:dist_to_a in
   { graph = g; landmark = landmarks; dist_to_a; home; cluster; trees }
@@ -136,16 +157,20 @@ let bunch d v =
 (* The child whose subtree holds [dfs]: the first, in port order, whose
    last number reaches it, if [dfs] lies in (dfs x, last x] at all. *)
 let child_port t x ~dfs =
-  let stop = t.off.(x + 1) in
+  let w = t.node.(x) and stop = slice_end t x in
   let rec scan i =
-    if i >= stop then None else if dfs <= t.kid_last.(i) then Some t.kid_port.(i) else scan (i + 1)
+    if i >= stop then None
+    else begin
+      let k = t.kid.(i) in
+      if dfs <= last_of k then Some (port_of k) else scan (i + 1)
+    end
   in
-  if dfs <= t.dfs.(x) then None else scan t.off.(x)
+  if dfs <= dfs_of w then None else scan (first_of w)
 
 let routing_function d =
   let init _u v =
     let li = d.home.(v) in
-    Routing_function.Packed [| v; li; d.trees.(li).dfs.(v) |]
+    Routing_function.Packed [| v; li; dfs_of d.trees.(li).node.(v) |]
   in
   let port x h =
     match h with
@@ -156,7 +181,7 @@ let routing_function d =
         | Some _ as p -> p
         | None -> (
           let t = d.trees.(li) in
-          match child_port t x ~dfs with Some _ as p -> p | None -> Some t.up.(x))
+          match child_port t x ~dfs with Some _ as p -> p | None -> Some (port_of t.node.(x)))
       end
     | _ -> invalid_arg "Landmark_core: malformed header"
   in
@@ -231,7 +256,7 @@ let encode_words d v emit =
   put p v ~width:vwidth;
   put_gamma p (Array.length trees + 1);
   for i = 0 to Array.length trees - 1 do
-    put p trees.(i).up.(v) ~width:(pwidth + 1)
+    put p (port_of trees.(i).node.(v)) ~width:(pwidth + 1)
   done;
   let c = d.cluster in
   put_gamma p (c.Ball_table.off.(v + 1) - c.off.(v) + 1);
@@ -241,13 +266,15 @@ let encode_words d v emit =
   done;
   for i = 0 to Array.length trees - 1 do
     let t = trees.(i) in
-    put_gamma p (t.off.(v + 1) - t.off.(v) + 1);
-    let lo = ref (t.dfs.(v) + 1) in
-    for c = t.off.(v) to t.off.(v + 1) - 1 do
-      put p (t.kid_port.(c) - 1) ~width:pwidth;
+    let w = t.node.(v) and stop = slice_end t v in
+    put_gamma p (stop - first_of w + 1);
+    let lo = ref (dfs_of w + 1) in
+    for c = first_of w to stop - 1 do
+      let k = t.kid.(c) in
+      put p (port_of k - 1) ~width:pwidth;
       put p !lo ~width:vwidth;
-      put p t.kid_last.(c) ~width:vwidth;
-      lo := t.kid_last.(c) + 1
+      put p (last_of k) ~width:vwidth;
+      lo := last_of k + 1
     done
   done;
   flush p

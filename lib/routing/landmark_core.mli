@@ -28,15 +28,19 @@
       one row scan per vertex.
 
     In memory every table is a flat int array; no vertex has a block
-    of its own. A tree holds its DFS numbers and up ports indexed by
-    vertex, and its children as one CSR: [n + 1] offsets, then per
-    child its port and the last DFS number of its subtree. The
-    children's subtrees tile [(dfs x, last x]], so [lo] is never
-    stored: the eldest child's is [dfs x + 1], each next one the
-    previous [hi + 1]. That is [5n - 1] int words per tree. The
-    cluster tables are the {!Ball_table}'s one CSR over all vertices.
-    The router binary-searches a cluster slice, then scans a slice of
-    last numbers. This layout is not the bit layout of {!encode_vertex},
+    of its own. A tree is two arrays of packed words, [2n - 1] words in
+    all. One word per vertex holds three 21-bit fields: its DFS
+    number, the index of its first child entry and its up port. One
+    word per child entry, in port order, holds the last DFS number of
+    the child's subtree and the port to it. A vertex's children are
+    the entries from its first to the next vertex's first (to [n - 1]
+    after the last vertex). The children's subtrees tile
+    [(dfs x, last x]], so [lo] is never stored: the eldest child's is
+    [dfs x + 1], each next one the previous [hi + 1]. 21-bit fields
+    limit the order to [2^21 - 1] vertices. The cluster tables are the
+    {!Ball_table}'s one CSR over all vertices. The router
+    binary-searches a cluster slice, then scans a slice of child
+    words. This layout is not the bit layout of {!encode_vertex},
     which writes every [(port, lo, hi)].
 
     Routing [u -> v], header [(v, index of p(v), DFS number of v in
@@ -69,8 +73,11 @@ type up =
 type t
 
 val prepare : Graph.t -> landmarks:int array -> up:up -> t
-(** Precompute on a non-empty connected graph. [landmarks] must be
-    non-empty, strictly increasing and in range. *)
+(** Precompute on a non-empty connected graph of at most [2^21 - 1]
+    vertices. [landmarks] must be non-empty, strictly increasing and
+    in range. Raises [Invalid_argument] naming the problem otherwise:
+    the order before any search, the landmark set next, and a
+    disconnected graph from the first landmark's search. *)
 
 val landmarks : t -> int array
 (** The landmark set [A], sorted ascending (a copy). *)

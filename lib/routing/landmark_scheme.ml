@@ -46,8 +46,9 @@ let pick_landmarks ~strategy ~seed g l =
 
 let prepare ?(seed = 0xC0C0A) ?landmarks ?(strategy = Random_landmarks) g =
   let n = Graph.order g in
-  if n < 1 || not (Bfs.is_connected g) then
-    invalid_arg "Landmark_scheme: need a non-empty connected graph";
+  (* Landmark_core.prepare refuses a disconnected graph off its first
+     search *)
+  if n < 1 then invalid_arg "Landmark_scheme: need a non-empty graph";
   let l = match landmarks with Some l -> max 1 (min n l) | None -> default_landmark_count n in
   let chosen = pick_landmarks ~strategy ~seed g l in
   Array.sort compare chosen;

@@ -160,6 +160,49 @@ let ball_table_holds (g, radius) =
            (vertices g))
     (vertices g)
 
+(* ---------- the default radius ---------- *)
+
+(* The rule default_radius kept until its search stopped at vertex 0's
+   eccentricity: the same search, stopped at the diameter. At r =
+   ecc(0) vertex 0, partition's first center, claims every vertex, so
+   both stop there at the latest with the same radius. *)
+let radius_stopped_at_diameter g =
+  let n = Graph.order g in
+  let target = int_of_float (Float.ceil (sqrt (float_of_int n))) in
+  let diam = Bfs.diameter g in
+  let rec search r =
+    if r >= diam then diam
+    else begin
+      let _, centers = Hierarchical_scheme.partition ~radius:r g in
+      if Array.length centers <= target then r else search (r + 1)
+    end
+  in
+  search 1
+
+let test_default_radius_differential () =
+  let st = rng () in
+  let graphs =
+    List.concat
+      [
+        List.init 15 (fun i ->
+            let n = 2 + Random.State.int st 60 in
+            let m = n - 1 + Random.State.int st n in
+            (Printf.sprintf "random#%d" i, Generators.random_connected st ~n ~m));
+        List.map (fun n -> (Printf.sprintf "path %d" n, Generators.path n)) [ 1; 2; 3; 10; 37; 100 ];
+        List.map (fun n -> (Printf.sprintf "star %d" n, Generators.star n)) [ 2; 3; 10; 50 ];
+        List.map
+          (fun (w, h) -> (Printf.sprintf "grid %dx%d" w h, Generators.grid w h))
+          [ (1, 5); (2, 2); (5, 5); (9, 7); (12, 3); (20, 20) ];
+        List.init 10 (fun i ->
+            let n = 10 + Random.State.int st 300 and m = 1 + Random.State.int st 3 in
+            (Printf.sprintf "ba#%d n=%d m=%d" i n m, Generators.barabasi_albert st ~n ~m));
+      ]
+  in
+  List.iter
+    (fun (name, g) ->
+      check_int name (radius_stopped_at_diameter g) (Hierarchical_scheme.default_radius g))
+    graphs
+
 let suite =
   [
     case "partition covers" test_partition_covers;
@@ -181,4 +224,6 @@ let suite =
     Gen.prop ~count:100 "ports: ball entry, else toward the center" (graph_with_draws 3)
       ports_hold;
     Gen.prop ~count:100 "ball table = all-pairs oracle" (graph_with_draws 4) ball_table_holds;
+    case "default radius = the search stopped at the diameter"
+      test_default_radius_differential;
   ]

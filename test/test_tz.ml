@@ -647,6 +647,103 @@ let words_make_the_bits (g, landmarks) =
         (List.init (Graph.order g) Fun.id))
     up_rules
 
+(* ---------- what prepare refuses ---------- *)
+
+(* [f ()] raises Invalid_argument with a message that contains [says]. *)
+let refuses name ~says f =
+  match f () with
+  | _ -> Alcotest.failf "%s: accepted" name
+  | exception Invalid_argument msg ->
+    let k = String.length says in
+    let rec has i = i + k <= String.length msg && (String.sub msg i k = says || has (i + 1)) in
+    if not (has 0) then Alcotest.failf "%s: %S does not say %S" name msg says
+
+let test_refuses_landmark_sets () =
+  let g = Generators.grid 3 3 in
+  List.iter
+    (fun up ->
+      List.iter
+        (fun (name, landmarks, says) ->
+          refuses name ~says (fun () -> Landmark_core.prepare g ~landmarks ~up))
+        [
+          ("empty", [||], "no landmarks");
+          ("decreasing", [| 5; 2 |], "not strictly increasing");
+          ("repeated", [| 2; 2 |], "not strictly increasing");
+          ("negative", [| -1; 4 |], "outside the graph");
+          ("past the order", [| 3; 9 |], "outside the graph");
+        ])
+    up_rules
+
+(* The first landmark's search reaches fewer than n vertices: two
+   components, or a vertex with no edge. *)
+let test_refuses_disconnected () =
+  let two = Graph.disjoint_union (Generators.path 4) (Generators.cycle 5) in
+  let loner = Graph.of_edges ~n:4 [ (0, 1); (1, 2) ] in
+  List.iter
+    (fun up ->
+      refuses "two components" ~says:"not connected" (fun () ->
+          Landmark_core.prepare two ~landmarks:[| 0; 6 |] ~up);
+      refuses "an isolated vertex" ~says:"not connected" (fun () ->
+          Landmark_core.prepare loner ~landmarks:[| 3 |] ~up))
+    up_rules;
+  (* the schemes run no search of their own for it *)
+  refuses "tz-3" ~says:"not connected" (fun () -> Tz_scheme.prepare two);
+  List.iter
+    (fun strategy ->
+      refuses "landmark-3" ~says:"not connected" (fun () -> Landmark_scheme.prepare ~strategy two))
+    Landmark_scheme.[ Random_landmarks; High_degree; K_center ]
+
+(* 2^21 vertices do not fit a 21-bit field. The graph has no edge, so a
+   search would refuse it as disconnected: the order is refused first. *)
+let test_refuses_order () =
+  refuses "2^21 vertices" ~says:"2097152 vertices" (fun () ->
+      Landmark_core.prepare (Graph.empty (1 lsl 21)) ~landmarks:[| 0 |]
+        ~up:Landmark_core.Parent)
+
+(* ---------- the memory layout ---------- *)
+
+(* Obj.reachable_words of a prepared core beside its graph, counted
+   block by block: an int array of k > 0 entries is k words plus a
+   header, a record a header plus its fields. Each tree is its two
+   packed arrays, 2n - 1 payload words (a word per vertex, a word per
+   child), beside the vertex arrays and the cluster CSR. *)
+let layout_words ~n ~landmarks ~entries =
+  let ints k = k + 1 and record k = k + 1 in
+  let tree = record 2 + ints n + ints (n - 1) in
+  record 6 + ints landmarks + (2 * ints n)
+  + (record 3 + ints (n + 1) + (2 * ints entries))
+  + ints landmarks + (landmarks * tree)
+
+let test_tree_layout () =
+  let seeded k = Random.State.make [| k; 0x1A70 |] in
+  List.iter
+    (fun (name, g) ->
+      let n = Graph.order g in
+      (* tz-3's sample, under both up rules *)
+      let landmarks = Landmark_core.landmarks (Tz_scheme.prepare g) in
+      List.iter
+        (fun up ->
+          let d = Landmark_core.prepare g ~landmarks ~up in
+          let entries = ref 0 in
+          for x = 0 to n - 1 do
+            entries := !entries + Array.length (Landmark_core.cluster_members d x)
+          done;
+          (* an empty array is one shared atom: keep the count exact *)
+          check_true (name ^ ": cluster entries") (!entries > 0);
+          check_int
+            (Printf.sprintf "%s: %d trees of 2n - 1 = %d words" name (Array.length landmarks)
+               ((2 * n) - 1))
+            (layout_words ~n ~landmarks:(Array.length landmarks) ~entries:!entries)
+            (Obj.reachable_words (Obj.repr d) - Obj.reachable_words (Obj.repr g)))
+        up_rules)
+    [
+      ("BA 300", Generators.barabasi_albert (seeded 1) ~n:300 ~m:2);
+      ("BA 120 m=3", Generators.barabasi_albert (seeded 2) ~n:120 ~m:3);
+      ("Chung-Lu 300", Generators.chung_lu (seeded 3) ~n:300 ~exponent:2.5);
+      ("star 64", Generators.star 64);
+      ("path 50", Generators.path 50);
+    ]
+
 let suite =
   [
     case "delivers on petersen" test_delivers_petersen;
@@ -675,4 +772,8 @@ let suite =
       layout_case layout_matches_rows;
     Gen.prop ~count:300 "encoder words: at most 55 bits each, the router's bits"
       layout_case words_make_the_bits;
+    case "prepare refuses bad landmark sets" test_refuses_landmark_sets;
+    case "prepare refuses a disconnected graph" test_refuses_disconnected;
+    case "prepare refuses 2^21 vertices" test_refuses_order;
+    case "layout: each tree is 2n - 1 words" test_tree_layout;
   ]
