@@ -145,6 +145,8 @@ let acquire t ~donor ~lo ~hi ~want =
   | Error e -> Error ("donor corpus info: " ^ C.error_to_string e)
   | Ok (Wire.R_header h) -> (
     let final = piece_path t.cfg.dir lo hi in
+    (* The writer publishes [tmp], not [final]: the piece takes its
+       final name only once its checksum matches the canonical one. *)
     let tmp = final ^ ".tmp" in
     let w =
       Corpus.create_writer ~path:tmp ~variant:h.Corpus.variant
@@ -210,13 +212,12 @@ let narrow t ~lo ~hi =
   | Some (plo, phi) when plo = lo && phi > hi -> (
     let old = piece_path t.cfg.dir plo phi in
     let final = piece_path t.cfg.dir lo hi in
-    let tmp = final ^ ".tmp" in
     match Corpus.open_reader ~path:old with
     | exception (Sys_error m | Invalid_argument m) -> ignore (fail t m)
     | r ->
       let h = Corpus.reader_header r in
       let w =
-        Corpus.create_writer ~path:tmp ~variant:h.Corpus.variant
+        Corpus.create_writer ~path:final ~variant:h.Corpus.variant
           ~p:h.Corpus.p ~q:h.Corpus.q ~d:h.Corpus.d
       in
       for _ = lo to hi - 1 do
@@ -226,8 +227,6 @@ let narrow t ~lo ~hi =
       done;
       Corpus.close_reader r;
       let hdr = Corpus.close_writer w in
-      Io.rename ~src:tmp ~dst:final;
-      Io.fsync_dir (Filename.dirname final);
       (match ensure_index final with
       | Error m -> ignore (fail t m)
       | Ok () -> (

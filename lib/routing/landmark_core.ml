@@ -3,16 +3,17 @@ open Umrs_bitcode
 
 type up = Parent | Smallest_closer
 
-(* A tree is two int arrays. [node.(v)] packs three [field_bits]-bit
-   fields: from the top, v's DFS number, the index of its first child
-   entry and its port toward the root (0 at the root). v's children
-   are the entries from its first to the next vertex's first, or to
-   [n - 1] after the last vertex, in port order; [kid.(c)] packs a
+(* A tree is two int arrays over its m entries (a landmark tree's
+   entries are its vertices). [node.(x)] packs three [field_bits]-bit
+   fields: from the top, x's DFS number, the index of its first child
+   entry and its port toward the root (0 at the root). x's children
+   are the entries from its first to the next entry's first, or to
+   [m - 1] after the last entry, in port order; [kid.(c)] packs a
    child's last DFS number above the port to it. The children's
    subtrees tile [(dfs x, last x]], so a child's first number is one
    past its elder sibling's last, and the eldest's is [dfs x + 1].
    Every field fits while [n <= max_order]: DFS numbers and entry
-   indices are below [n], and on a simple graph a port is at most
+   indices are below [m <= n], and on a simple graph a port is at most
    [n - 1]. *)
 type tree = { node : int array; kid : int array }
 
@@ -36,70 +37,56 @@ type t = {
   trees : tree array;      (* one per landmark *)
 }
 
-(* The BFS tree of [root] that [ws]'s last search (with parents)
-   left, DFS numbered with children in port order, in O(n) beside that
-   search. A vertex's children are queued while it is expanded, in port
-   order, and vertices are expanded in queue order, so walking the
-   visit order meets each vertex's children in port order: bottom-up it
-   gives the subtree sizes and the child counts, top-down it puts each
-   child into its parent's next slot with the port the search recorded.
-   A child's first DFS number is then one past its elder sibling's
-   last, or its parent's number plus one. [size] and [fill] are scratch
-   of at least [n] ints, [off] of at least [n + 1]. *)
-let tree g ~up ws ~size ~fill ~off root =
-  let n = Graph.order g in
+(* The BFS tree that [ws]'s last search (with parents) left, over the
+   [m] vertices it reached, entry [slot.(v)] for vertex v, in O(m)
+   beside that search. A vertex's children are queued while it is
+   expanded, in port order, and vertices are expanded in queue order,
+   so walking the visit order meets each vertex's children in port
+   order: bottom-up it gives the subtree sizes and the child counts,
+   top-down it puts each child into its parent's next slot with the
+   port the search recorded, and scans the child's row for its up
+   port. A child's first DFS number is one past its elder sibling's
+   last, or its parent's number plus one. [size] and [off] are scratch
+   of at least [m] ints. *)
+let tree g ~up ws ~slot ~size ~off =
+  let m = Bfs.reached ws in
   let order = Bfs.visit_order ws and dist = Bfs.dist_array ws
   and parent = Bfs.parent_array ws and pport = Bfs.parent_port_array ws in
-  (* [off.(x + 1)] counts x's children, then the sums make them the
-     first entries *)
-  Array.fill off 0 (n + 1) 0;
-  Array.fill size 0 n 1;
-  for k = n - 1 downto 1 do
+  (* [size.(e)] packs e's child count above its subtree size *)
+  Array.fill size 0 m 1;
+  for k = m - 1 downto 1 do
     let y = order.(k) in
-    let p = parent.(y) in
-    size.(p) <- size.(p) + size.(y);
-    off.(p + 1) <- off.(p + 1) + 1
+    let p = slot.(parent.(y)) in
+    size.(p) <- size.(p) + (1 lsl field_bits) + (size.(slot.(y)) land max_order)
   done;
-  for x = 1 to n do
-    off.(x) <- off.(x) + off.(x - 1)
+  (* [off.(e)] is e's first child entry, then top-down its next free
+     one *)
+  off.(0) <- 0;
+  for e = 1 to m - 1 do
+    off.(e) <- off.(e - 1) + (size.(e - 1) lsr field_bits)
   done;
-  Array.blit off 0 fill 0 n;
-  let node = Array.make n 0 and kid = Array.make (n - 1) 0 in
+  let node = Array.make m 0 and kid = Array.make (m - 1) 0 in
+  let root = slot.(order.(0)) in
   node.(root) <- off.(root) lsl field_bits;
-  for k = 1 to n - 1 do
+  for k = 1 to m - 1 do
     let y = order.(k) in
-    let p = parent.(y) in
-    let c = fill.(p) in
-    fill.(p) <- c + 1;
-    let first = if c = off.(p) then dfs_of node.(p) + 1 else last_of kid.(c - 1) + 1 in
-    node.(y) <- (first lsl (2 * field_bits)) lor (off.(y) lsl field_bits);
-    kid.(c) <- ((first + size.(y) - 1) lsl field_bits) lor pport.(y)
+    let py = parent.(y) in
+    let p = slot.(py) and s = slot.(y) in
+    let c = off.(p) in
+    off.(p) <- c + 1;
+    let first = if c = first_of node.(p) then dfs_of node.(p) + 1 else last_of kid.(c - 1) + 1 in
+    (* the up port: a scan of y's row for its parent, or for its first
+       neighbour one step closer *)
+    let row = Graph.neighbors g y in
+    let j = ref 0 in
+    (match up with
+    | Parent -> while row.(!j) <> py do incr j done
+    | Smallest_closer ->
+      let closer = dist.(y) - 1 in
+      while dist.(row.(!j)) <> closer do incr j done);
+    node.(s) <- (first lsl (2 * field_bits)) lor (off.(s) lsl field_bits) lor (!j + 1);
+    kid.(c) <- ((first + (size.(s) land max_order) - 1) lsl field_bits) lor pport.(y)
   done;
-  (* the up ports: a scan of each vertex's row for its parent, or for
-     its first neighbour one step closer *)
-  (match up with
-  | Parent ->
-    for v = 0 to n - 1 do
-      if v <> root then begin
-        let row = Graph.neighbors g v and p = parent.(v) in
-        let k = ref 0 in
-        while row.(!k) <> p do
-          incr k
-        done;
-        node.(v) <- node.(v) lor (!k + 1)
-      end
-    done
-  | Smallest_closer ->
-    for v = 0 to n - 1 do
-      if v <> root then begin
-        let row = Graph.neighbors g v and closer = dist.(v) - 1 in
-        let k = ref 0 in
-        while dist.(row.(!k)) <> closer do
-          incr k
-        done;
-        node.(v) <- node.(v) lor (!k + 1)
-      end
-    done);
   { node; kid }
 
 let refuse fmt = Printf.ksprintf (fun s -> invalid_arg ("Landmark_core.prepare: " ^ s)) fmt
@@ -118,13 +105,13 @@ let prepare g ~landmarks ~up =
   (* one workspace for every search: the landmark trees, then the
      balls *)
   let ws = Bfs.workspace () in
-  let size = Array.make n 0 and fill = Array.make n 0 and off = Array.make (n + 1) 0 in
+  let size = Array.make n 0 and off = Array.make n 0 in
+  let slot = Array.init n Fun.id (* a landmark tree's entries are its vertices *) in
   (* landmarks in index order, so a strict < keeps the smaller index
      on ties *)
   let trees =
     Array.init (Array.length landmarks) (fun i ->
-        let root = landmarks.(i) in
-        Bfs.search ~parents:true ws g root;
+        Bfs.search ~parents:true ws g landmarks.(i);
         if Bfs.reached ws < n then refuse "the graph is not connected";
         let dist = Bfs.dist_array ws in
         for v = 0 to n - 1 do
@@ -133,7 +120,7 @@ let prepare g ~landmarks ~up =
             home.(v) <- i
           end
         done;
-        tree g ~up ws ~size ~fill ~off root)
+        tree g ~up ws ~slot ~size ~off)
   in
   let cluster = Ball_table.build ws g ~radius:dist_to_a in
   { graph = g; landmark = landmarks; dist_to_a; home; cluster; trees }
@@ -154,6 +141,9 @@ let bunch d v =
     members
   end
 
+let dfs_number t x = dfs_of t.node.(x)
+let up_port t x = port_of t.node.(x)
+
 (* The child whose subtree holds [dfs]: the first, in port order, whose
    last number reaches it, if [dfs] lies in (dfs x, last x] at all. *)
 let child_port t x ~dfs =
@@ -166,6 +156,13 @@ let child_port t x ~dfs =
     end
   in
   if dfs <= dfs_of w then None else scan (first_of w)
+
+let children t x =
+  let w = t.node.(x) in
+  let first = first_of w in
+  Array.init (slice_end t x - first) (fun i ->
+      let lo = if i = 0 then dfs_of w + 1 else last_of t.kid.(first + i - 1) + 1 in
+      (port_of t.kid.(first + i), lo, last_of t.kid.(first + i)))
 
 let routing_function d =
   let init _u v =

@@ -23,9 +23,9 @@
       and vertices are expanded in queue order, so one walk of the BFS
       visit order bottom-up gives the subtree sizes and child counts,
       and one top-down puts each child into its parent's next slot, in
-      port order, with its DFS interval. No adjacency row is scanned
-      for children: a tree costs its BFS plus [O(n)], and the up ports
-      one row scan per vertex.
+      port order, with its DFS interval and its up port. No adjacency
+      row is scanned for children: a tree costs its BFS plus [O(n)],
+      and the up ports one row scan per vertex.
 
     In memory every table is a flat int array; no vertex has a block
     of its own. A tree is two arrays of packed words, [2n - 1] words in
@@ -69,6 +69,41 @@ type up =
   | Smallest_closer
       (** the smallest port to a neighbour one step closer
           (landmark-3; {!Umrs_graph.Bfs.port_toward}) *)
+
+(** {1 DFS-interval trees}
+
+    The one DFS-interval tree of [lib/routing], laid out as above (an
+    entry where a landmark tree has a vertex); it also serves
+    {!Tree_cover_scheme}'s cluster trees. *)
+
+type tree
+
+val max_order : int
+(** [2^21 - 1], the largest order a tree's 21-bit fields hold. *)
+
+val tree :
+  Graph.t -> up:up -> Bfs.workspace -> slot:int array -> size:int array -> off:int array -> tree
+(** The BFS tree of [ws]'s last search on [g], run with [~parents:true],
+    over the vertices it reached: entry [slot.(v)] for vertex [v], one
+    to one onto [0 .. reached - 1] (the identity for a landmark tree,
+    the rank in {!Umrs_graph.Cover}'s sorted [members] for a cluster),
+    up ports by the [up] rule. [size] and [off] are scratch of at least
+    [reached] ints, reused across trees. *)
+
+val dfs_number : tree -> int -> int
+val up_port : tree -> int -> Graph.port
+(** An entry's DFS number and port toward the root, both [0] at the
+    root. *)
+
+val child_port : tree -> int -> dfs:int -> Graph.port option
+(** The port to an entry's child whose subtree holds DFS number [dfs],
+    if any. *)
+
+val children : tree -> int -> (Graph.port * int * int) array
+(** An entry's children in port order: the port to each and the DFS
+    interval [(lo, hi)] of its subtree. *)
+
+(** {1 Landmark routing} *)
 
 type t
 

@@ -15,9 +15,21 @@
     Route length is at most twice the cluster radius, i.e.
     [O(dist * log n)] — logarithmic stretch for polylogarithmic
     per-router memory, the regime's trademark tradeoff (measured, not
-    assumed, by the benchmarks). *)
+    assumed, by the benchmarks).
+
+    The cluster trees are {!Landmark_core.tree}s, as packed as the
+    landmark trees: one bounded search per cluster, [2|C| - 1] words,
+    entries by rank in the cluster's sorted [members], found by binary
+    search. Their 21-bit fields limit the order to [2^21 - 1]. *)
 
 open Umrs_graph
+
+type scale = private { cover : Cover.t; trees : Landmark_core.tree array (** per cluster *) }
+
+val prepare : Graph.t -> scale array
+(** One scale per [i] from [0] to [ceil (log2 diameter)]. Raises
+    [Invalid_argument] naming the order past [2^21 - 1], before any
+    search, then on a disconnected graph. *)
 
 val build : Graph.t -> Scheme.built
 

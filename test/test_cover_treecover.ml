@@ -137,6 +137,108 @@ let cover_graph =
       | 2 -> Generators.grid (1 + Random.State.int st 7) (1 + Random.State.int st 7)
       | _ -> connected.Gen.gen st)
 
+(* ---------- packed cluster trees against the Hashtbl build ---------- *)
+
+(* A cluster tree as Tree_cover_scheme built it before its trees were
+   Landmark_core.trees: a Hashtbl per cluster of records keyed by
+   member, numbered by its own DFS over visit positions. *)
+type oracle_node = {
+  parent_port : Graph.port; (* 0 at the root *)
+  dfs : int;
+  children : (Graph.port * int * int) array; (* port, dfs lo, dfs hi *)
+}
+
+(* The BFS tree of cluster [c], rooted at its center. A cluster is the
+   ball of its radius around its center, and a shortest path from the
+   center stays inside that ball, so the kernel bounded at [radius + 1]
+   reaches exactly the members: first-discoverer parents in port order,
+   each vertex's children discovered, hence listed, in port order, with
+   the port the search found them through, and DFS numbers in that
+   order. *)
+let oracle_tree ws g (c : Cover.cluster) =
+  Bfs.search ~parents:true ~radius:(c.Cover.radius + 1) ws g c.Cover.center;
+  let m = Bfs.reached ws in
+  let order = Bfs.visit_order ws and parent = Bfs.parent_array ws
+  and pport = Bfs.parent_port_array ws in
+  (* positions in the visit order: a vertex's children are queued while
+     it is expanded, so parents come in nondecreasing position *)
+  let up = Array.make m 0 in
+  let j = ref 0 in
+  for k = 1 to m - 1 do
+    while order.(!j) <> parent.(order.(k)) do incr j done;
+    up.(k) <- !j
+  done;
+  let size = Array.make m 1 in
+  for k = m - 1 downto 1 do
+    size.(up.(k)) <- size.(up.(k)) + size.(k)
+  done;
+  (* preorder: each child takes the next free number of its parent *)
+  let dfs = Array.make m 0 and next = Array.make m 1 in
+  for k = 1 to m - 1 do
+    dfs.(k) <- next.(up.(k));
+    next.(up.(k)) <- dfs.(k) + size.(k);
+    next.(k) <- dfs.(k) + 1
+  done;
+  let kids = Array.make m [] in
+  for k = m - 1 downto 1 do
+    kids.(up.(k)) <-
+      (pport.(order.(k)), dfs.(k), dfs.(k) + size.(k) - 1) :: kids.(up.(k))
+  done;
+  let nodes = Hashtbl.create m in
+  for k = 0 to m - 1 do
+    let x = order.(k) in
+    let parent_port =
+      if k = 0 then 0 else Option.get (Graph.port_to g ~src:x ~dst:parent.(x))
+    in
+    Hashtbl.replace nodes x
+      { parent_port; dfs = dfs.(k); children = Array.of_list kids.(k) }
+  done;
+  nodes
+
+(* Every member of every cluster at every scale: its entry (its rank
+   in the sorted members) in the packed tree holds the oracle's DFS
+   number, up port and (port, lo, hi) children. *)
+let packed_trees_match g =
+  let ws = Bfs.workspace () in
+  let cluster_matches (c : Cover.cluster) t =
+    let nodes = oracle_tree ws g c in
+    let entry_matches e v =
+      match Hashtbl.find_opt nodes v with
+      | None -> false
+      | Some o ->
+        Landmark_core.dfs_number t e = o.dfs
+        && Landmark_core.up_port t e = o.parent_port
+        && Landmark_core.children t e = o.children
+    in
+    Hashtbl.length nodes = Array.length c.Cover.members
+    && Array.for_all Fun.id (Array.mapi entry_matches c.Cover.members)
+  in
+  Array.for_all
+    (fun s ->
+      Array.for_all2 cluster_matches s.Tree_cover_scheme.cover.Cover.clusters
+        s.Tree_cover_scheme.trees)
+    (Tree_cover_scheme.prepare g)
+
+(* Random connected graphs, BA graphs, grids, trees and cycles. *)
+let tree_cover_graph =
+  let connected = Gen.connected_graph ~max_n:30 () in
+  Gen.make ~print:Gen.print_graph (fun st ->
+      match Random.State.int st 5 with
+      | 0 -> connected.Gen.gen st
+      | 1 ->
+        let m = 1 + Random.State.int st 3 in
+        Generators.barabasi_albert st ~n:(m + 1 + Random.State.int st 60) ~m
+      | 2 -> Generators.grid (1 + Random.State.int st 8) (1 + Random.State.int st 8)
+      | 3 -> Generators.random_tree st (1 + Random.State.int st 40)
+      | _ -> Generators.cycle (3 + Random.State.int st 40))
+
+(* 2^21 vertices do not fit a tree's 21-bit fields. The graph has no
+   edge, so a search would refuse it as disconnected: the order is
+   refused first. *)
+let test_treecover_refuses_order () =
+  Test_tz.refuses "2^21 vertices" ~says:"2097152 vertices" (fun () ->
+      Tree_cover_scheme.build (Graph.empty (1 lsl 21)))
+
 let suite =
   [
     case "covers cover r-balls" test_cover_covers;
@@ -161,4 +263,7 @@ let suite =
     case "tree-cover bits pinned" test_treecover_pinned;
     Gen.prop ~count:100 "cover = the n-array build, r = 0..4" cover_graph (fun g ->
         List.for_all (fun r -> Cover.build g ~r = cover_oracle g ~r) [ 0; 1; 2; 3; 4 ]);
+    Gen.prop ~count:100 "packed cluster trees = the Hashtbl build" tree_cover_graph
+      packed_trees_match;
+    case "tree-cover refuses 2^21 vertices" test_treecover_refuses_order;
   ]
